@@ -32,7 +32,7 @@
 pub mod digest;
 pub mod store;
 
-pub use store::{ArtifactStore, MemStore, StoreStats};
+pub use store::{ArtifactStore, MemStore, StoreStats, MEM_STORE_BUDGET_BYTES};
 
 use msaf_fabric::bitstream::{FabricConfig, RouteTree};
 use serde::{Deserialize, Serialize};

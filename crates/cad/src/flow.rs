@@ -8,7 +8,7 @@ use crate::report::FlowReport;
 use crate::route::{route_traced, RouteError, RouteOptions};
 use crate::techmap::{map, MapError, MappedDesign};
 use crate::timing::{RouteTimingCtx, TimingGraph};
-use msaf_artifact::digest::Fnv64;
+use msaf_artifact::digest::{fnv1a, Fnv64};
 use msaf_artifact::{Artifact, ArtifactStore, BitstreamArtifact, PackArtifact, Stage};
 use msaf_fabric::arch::ArchSpec;
 use msaf_fabric::bitstream::FabricConfig;
@@ -199,18 +199,29 @@ struct CacheCtx<'a> {
 }
 
 impl CacheCtx<'_> {
-    /// Looks up and deserializes a stage artifact. A missing entry and
-    /// a malformed/shape-mismatched one are the same thing — a miss —
-    /// so a format change (or a corrupted store) degrades to
-    /// recomputation, never to a compile error.
-    fn get<A: Artifact>(&self, key: &str) -> Option<A> {
-        self.store
-            .get(key)
-            .and_then(|json| A::from_json(&json).ok())
+    /// Looks up and deserializes a stage artifact, returning it with
+    /// `fnv1a` of the JSON it was read from: the digest the next
+    /// stage's key chains, without re-serializing the artifact. Canonical
+    /// JSON round-trips exactly, so for every entry the flow writes this
+    /// equals [`Artifact::digest`]; a parseable but non-canonical entry
+    /// only moves the downstream keys, turning those stages into misses.
+    ///
+    /// A missing entry and a malformed/shape-mismatched one are the same
+    /// thing — a miss — so a format change (or a corrupted store)
+    /// degrades to recomputation, never to a compile error.
+    fn get<A: Artifact>(&self, key: &str) -> Option<(A, u64)> {
+        let json = self.store.get(key)?;
+        let artifact = A::from_json(&json).ok()?;
+        Some((artifact, fnv1a(json.as_bytes())))
     }
 
-    fn put<A: Artifact>(&self, key: &str, artifact: &A) {
-        self.store.put(key, artifact.to_json());
+    /// Stores `artifact` under `key` and returns `fnv1a` of the stored
+    /// JSON — its [`Artifact::digest`], from the one encode.
+    fn put<A: Artifact>(&self, key: &str, artifact: &A) -> u64 {
+        let json = artifact.to_json();
+        let digest = fnv1a(json.as_bytes());
+        self.store.put(key, json);
+        digest
     }
 }
 
@@ -288,19 +299,16 @@ fn compile_inner(
     let pack_span = tracer.span("flow.pack");
     let mapped = map(netlist, &opts.arch).map_err(FlowError::Map)?;
     let pack_key = pack_input.map(|d| Stage::Pack.key(d));
-    let mut pack_art: Option<PackArtifact> = None;
+    let mut pack_digest = None;
     let packed = match (&cache, &pack_key) {
         (Some(ctx), Some(key)) => {
-            if let Some(art) = ctx.get::<PackArtifact>(key) {
+            if let Some((art, digest)) = ctx.get::<PackArtifact>(key) {
                 outcomes.pack = StageOutcome::Hit;
-                let packed = checkpoint::restore_pack(&art);
-                pack_art = Some(art);
-                packed
+                pack_digest = Some(digest);
+                checkpoint::restore_pack(&art)
             } else {
                 let packed = pack(&mapped, &opts.arch).map_err(FlowError::Pack)?;
-                let art = checkpoint::checkpoint_pack(&packed);
-                ctx.put(key, &art);
-                pack_art = Some(art);
+                pack_digest = Some(ctx.put(key, &checkpoint::checkpoint_pack(&packed)));
                 packed
             }
         }
@@ -330,11 +338,11 @@ fn compile_inner(
     }
     arch.name = format!("{}-{w}x{h}", opts.arch.name);
 
-    let place_input = match (pack_input, &pack_art) {
-        (Some(pi), Some(art)) => {
+    let place_input = match (pack_input, pack_digest) {
+        (Some(pi), Some(digest)) => {
             let mut hasher = Fnv64::new();
             hasher.write_u64(pi);
-            hasher.write_u64(art.digest());
+            hasher.write_u64(digest);
             hasher.write_u64(opts.seed);
             hasher.write_u64(w as u64);
             hasher.write_u64(h as u64);
@@ -346,14 +354,13 @@ fn compile_inner(
     let stage = std::time::Instant::now();
     let place_span = tracer.span("flow.place");
     let place_key = place_input.map(|d| Stage::Place.key(d));
-    let mut place_art: Option<msaf_artifact::PlaceArtifact> = None;
+    let mut place_digest = None;
     let placement = match (&cache, &place_key) {
         (Some(ctx), Some(key)) => {
-            if let Some(art) = ctx.get::<msaf_artifact::PlaceArtifact>(key) {
+            if let Some((art, digest)) = ctx.get::<msaf_artifact::PlaceArtifact>(key) {
                 outcomes.place = StageOutcome::Hit;
-                let placement = checkpoint::restore_place(&art);
-                place_art = Some(art);
-                placement
+                place_digest = Some(digest);
+                checkpoint::restore_place(&art)
             } else {
                 let placement = place_traced(
                     &mapped,
@@ -363,9 +370,7 @@ fn compile_inner(
                     tracer,
                 )
                 .map_err(FlowError::Place)?;
-                let art = checkpoint::checkpoint_place(&placement);
-                ctx.put(key, &art);
-                place_art = Some(art);
+                place_digest = Some(ctx.put(key, &checkpoint::checkpoint_place(&placement)));
                 placement
             }
         }
@@ -395,11 +400,11 @@ fn compile_inner(
     // untimed router and the context only measures (post-route critical
     // delay, slacks); raising `FlowOptions::route.timing_fac` makes the
     // criticalities steer the search.
-    let route_input = match (place_input, &place_art) {
-        (Some(pi), Some(art)) => {
+    let route_input = match (place_input, place_digest) {
+        (Some(pi), Some(digest)) => {
             let mut hasher = Fnv64::new();
             hasher.write_u64(pi);
-            hasher.write_u64(art.digest());
+            hasher.write_u64(digest);
             // Thread count is excluded from the key: routing results
             // are byte-identical at any thread count (the determinism
             // contract pinned by tests/trace_determinism.rs), so it
@@ -418,16 +423,13 @@ fn compile_inner(
 
     let stage = std::time::Instant::now();
     let route_span = tracer.span("flow.route");
-    let total_attempts = if opts.channel_width.is_some() { 1 } else { 4 };
-    let mut attempts = total_attempts;
-    // The timing graph depends only on the mapped design — build it once
-    // and clone per widening retry.
-    let graph = TimingGraph::build(&mapped);
     let restored = match (&cache, &route_key) {
         (Some(ctx), Some(key)) => ctx.get::<msaf_artifact::RouteArtifact>(key),
         _ => None,
     };
-    let (rrg, binding, routed, timing, timing_summary, route_art) = if let Some(art) = restored {
+    let (rrg, binding, routed, timing, timing_summary, route_digest) = if let Some((art, digest)) =
+        restored
+    {
         // Restored: jump straight to the channel width the widening
         // loop converged at — the retries are part of what the
         // checkpoint remembers. Binding is recomputed (it is cheap and
@@ -439,8 +441,13 @@ fn compile_inner(
         let routed = checkpoint::restore_route(&art);
         let timing = checkpoint::restore_timing_report(&art);
         let summary = checkpoint::restore_timing_summary(&art);
-        (rrg, binding, routed, timing, summary, Some(art))
+        (rrg, binding, routed, timing, summary, Some(digest))
     } else {
+        let total_attempts = if opts.channel_width.is_some() { 1 } else { 4 };
+        let mut attempts = total_attempts;
+        // The timing graph depends only on the mapped design — build it
+        // once and clone per widening retry.
+        let graph = TimingGraph::build(&mapped);
         let (rrg, binding, routed, timing, summary) = loop {
             let rrg = Rrg::build(&arch);
             let binding =
@@ -487,16 +494,14 @@ fn compile_inner(
                 }
             }
         };
-        let route_art = match (&cache, &route_key) {
-            (Some(ctx), Some(key)) => {
-                let art =
-                    checkpoint::checkpoint_route(&routed, arch.channel_width, &timing, &summary);
-                ctx.put(key, &art);
-                Some(art)
-            }
+        let route_digest = match (&cache, &route_key) {
+            (Some(ctx), Some(key)) => Some(ctx.put(
+                key,
+                &checkpoint::checkpoint_route(&routed, arch.channel_width, &timing, &summary),
+            )),
             _ => None,
         };
-        (rrg, binding, routed, timing, summary, route_art)
+        (rrg, binding, routed, timing, summary, route_digest)
     };
     if cache.is_some() {
         tracer.event("flow.cache", || {
@@ -510,11 +515,11 @@ fn compile_inner(
 
     let route_ms = stage.elapsed().as_secs_f64() * 1e3;
 
-    let bitgen_input = match (route_input, &route_art) {
-        (Some(ri), Some(art)) => {
+    let bitgen_input = match (route_input, route_digest) {
+        (Some(ri), Some(digest)) => {
             let mut hasher = Fnv64::new();
             hasher.write_u64(ri);
-            hasher.write_u64(art.digest());
+            hasher.write_u64(digest);
             Some(hasher.finish())
         }
         _ => None,
@@ -523,7 +528,7 @@ fn compile_inner(
 
     let bitgen_span = tracer.span("flow.bitgen");
     let cached_config = match (&cache, &bitgen_key) {
-        (Some(ctx), Some(key)) => ctx.get::<BitstreamArtifact>(key).map(|art| art.config),
+        (Some(ctx), Some(key)) => ctx.get::<BitstreamArtifact>(key).map(|(art, _)| art.config),
         _ => None,
     };
     let config = if let Some(config) = cached_config {
@@ -788,6 +793,28 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_chain_is_pinned() {
+        use msaf_artifact::MemStore;
+
+        // Each key chains `fnv1a` of the upstream artifact's stored
+        // JSON, which must equal its `Artifact::digest`: these are the
+        // keys the `Artifact::digest` chain gives.
+        let store = MemStore::new();
+        compile_cached(&qdi_full_adder(), &FlowOptions::default(), &store, 7).unwrap();
+        let mut keys = store.keys();
+        keys.sort();
+        assert_eq!(
+            keys,
+            [
+                "v1:bitgen:d877a3728ba5dad2",
+                "v1:pack:73155f47184cf743",
+                "v1:place:1149e7c1ce0157a7",
+                "v1:route:633f2bb2337b4a14",
+            ]
+        );
+    }
+
+    #[test]
     fn cache_keys_isolate_seed_and_source() {
         use msaf_artifact::MemStore;
 
@@ -841,6 +868,41 @@ mod tests {
             "corrupt entries are misses, got {outcomes:?}"
         );
         assert!(compiled.report.wirelength > 0);
+    }
+
+    #[test]
+    fn evicted_entries_are_recomputed_byte_identically() {
+        use msaf_artifact::{MemStore, MEM_STORE_BUDGET_BYTES};
+
+        let netlist = qdi_full_adder();
+        let opts = FlowOptions::default();
+        let store = MemStore::new();
+        let (cold, _) = compile_cached(&netlist, &opts, &store, 5).unwrap();
+        let design_keys = store.keys();
+        assert_eq!(design_keys.len(), 4);
+        // Unrelated traffic filling the whole budget pushes out the
+        // design's entries — the least recently used — and nothing else.
+        for i in 0..MEM_STORE_BUDGET_BYTES >> 20 {
+            store.put(&format!("filler{i}"), "x".repeat(1 << 20));
+        }
+        let stats = store.stats();
+        assert_eq!(stats.evictions, 4);
+        assert_eq!(stats.bytes, MEM_STORE_BUDGET_BYTES);
+        assert!(store.keys().iter().all(|k| k.starts_with("filler")));
+
+        let (again, outcomes) = compile_cached(&netlist, &opts, &store, 5).unwrap();
+        assert!(
+            outcomes
+                .stages()
+                .iter()
+                .all(|&(_, o)| o == StageOutcome::Miss),
+            "evicted stages are misses, got {outcomes:?}"
+        );
+        assert_eq!(again.config.to_json(), cold.config.to_json());
+        // The recomputed entries are back under the same keys.
+        let (_, outcomes) = compile_cached(&netlist, &opts, &store, 5).unwrap();
+        assert!(outcomes.all_hits(), "got {outcomes:?}");
+        assert!(design_keys.iter().all(|k| store.get(k).is_some()));
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use crate::arch::{ArchSpec, SwitchBoxKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Index of a node in the routing resource graph.
 #[derive(
@@ -147,15 +146,21 @@ impl NodeSpan {
 }
 
 /// The routing resource graph for one architecture instance.
+///
+/// Node ids follow the fixed order in which [`Rrg::build`] adds nodes —
+/// horizontal wires, vertical wires, each tile's output then input
+/// pins, pads — so [`Rrg::node`] is a closed-form index, not a map.
 #[derive(Debug, Clone)]
 pub struct Rrg {
     nodes: Vec<RrNodeKind>,
     spans: Vec<NodeSpan>,
     adj: Vec<Vec<NodeId>>,
-    lookup: HashMap<RrNodeKind, NodeId>,
     pad_count: usize,
     width: usize,
     height: usize,
+    channel_width: usize,
+    plb_outputs: usize,
+    plb_inputs: usize,
 }
 
 impl Rrg {
@@ -168,14 +173,17 @@ impl Rrg {
     pub fn build(arch: &ArchSpec) -> Self {
         arch.assert_valid();
         let (w, h, cw) = (arch.width, arch.height, arch.channel_width);
+        let pad_total = 2 * w + 2 * h;
         let mut g = Self {
             nodes: Vec::new(),
             spans: Vec::new(),
             adj: Vec::new(),
-            lookup: HashMap::new(),
-            pad_count: 0,
+            pad_count: pad_total,
             width: w,
             height: h,
+            channel_width: cw,
+            plb_outputs: arch.plb.outputs,
+            plb_inputs: arch.plb.inputs,
         };
 
         // Wires.
@@ -206,11 +214,9 @@ impl Rrg {
         }
         // Pads: one per perimeter channel segment end — south row, north
         // row, west column, east column, in that order.
-        let pad_total = 2 * w + 2 * h;
         for id in 0..pad_total {
             g.add(RrNodeKind::Pad { id });
         }
-        g.pad_count = pad_total;
 
         // Switch boxes.
         for sx in 0..=w {
@@ -235,13 +241,12 @@ impl Rrg {
         g
     }
 
-    fn add(&mut self, kind: RrNodeKind) -> NodeId {
+    fn add(&mut self, kind: RrNodeKind) {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("graph too large"));
+        debug_assert_eq!(self.node(kind), Some(id), "build order drifted from node()");
         self.nodes.push(kind);
         self.spans.push(self.span_of(kind));
         self.adj.push(Vec::new());
-        self.lookup.insert(kind, id);
-        id
     }
 
     /// Corner-grid extent of `kind` (see [`NodeSpan`]).
@@ -381,7 +386,7 @@ impl Rrg {
     }
 
     fn link_kind(&mut self, a: RrNodeKind, b: RrNodeKind) {
-        let (Some(&ia), Some(&ib)) = (self.lookup.get(&a), self.lookup.get(&b)) else {
+        let (Some(ia), Some(ib)) = (self.node(a), self.node(b)) else {
             panic!("linking unknown node {a:?} or {b:?}");
         };
         if !self.adj[ia.index()].contains(&ib) {
@@ -441,10 +446,34 @@ impl Rrg {
         &self.spans
     }
 
-    /// Looks a node up by kind.
+    /// Looks a node up by kind; `None` for kinds outside the graph
+    /// (coordinates, tracks, pins or pad ids out of range).
+    ///
+    /// The id is computed from the build order (see [`Rrg`]): kinds of
+    /// one class occupy one contiguous block, row-major in the order
+    /// [`Rrg::build`] loops over them.
     #[must_use]
     pub fn node(&self, kind: RrNodeKind) -> Option<NodeId> {
-        self.lookup.get(&kind).copied()
+        let (w, h, cw) = (self.width, self.height, self.channel_width);
+        let (outs, ins) = (self.plb_outputs, self.plb_inputs);
+        let v_base = (h + 1) * w * cw;
+        let pin_base = v_base + (w + 1) * h * cw;
+        let pad_base = pin_base + w * h * (outs + ins);
+        let index = match kind {
+            RrNodeKind::HWire { x, y, t } if x < w && y <= h && t < cw => (y * w + x) * cw + t,
+            RrNodeKind::VWire { x, y, t } if x <= w && y < h && t < cw => {
+                v_base + (x * h + y) * cw + t
+            }
+            RrNodeKind::Opin { x, y, pin } if x < w && y < h && pin < outs => {
+                pin_base + (y * w + x) * (outs + ins) + pin
+            }
+            RrNodeKind::Ipin { x, y, pin } if x < w && y < h && pin < ins => {
+                pin_base + (y * w + x) * (outs + ins) + outs + pin
+            }
+            RrNodeKind::Pad { id } if id < self.pad_count => pad_base + id,
+            _ => return None,
+        };
+        u32::try_from(index).ok().map(NodeId)
     }
 
     /// Number of I/O pads.
@@ -499,6 +528,64 @@ mod tests {
         let pins = 2 * 2 * (a.plb.inputs + a.plb.outputs);
         assert_eq!(g.len(), wires + pins + 8);
         assert!(!g.is_empty());
+    }
+
+    #[test]
+    fn node_index_inverts_kind_on_every_architecture() {
+        let mut wilton = ArchSpec::paper(3, 3);
+        wilton.switchbox = SwitchBoxKind::Wilton;
+        let mut narrow = ArchSpec::paper(4, 2);
+        narrow.channel_width = 1;
+        let mut tall = ArchSpec::no_aux_outputs(2, 5);
+        tall.channel_width = 12;
+        for a in [ArchSpec::paper(2, 2), arch(), wilton, narrow, tall] {
+            let g = Rrg::build(&a);
+            for i in 0..g.len() {
+                let id = NodeId(u32::try_from(i).unwrap());
+                assert_eq!(g.node(g.kind(id)), Some(id), "{} node {i}", a.name);
+            }
+            let (w, h, cw) = (a.width, a.height, a.channel_width);
+            let (ins, outs) = (a.plb.inputs, a.plb.outputs);
+            for kind in [
+                RrNodeKind::HWire { x: w, y: 0, t: 0 },
+                RrNodeKind::HWire {
+                    x: 0,
+                    y: h + 1,
+                    t: 0,
+                },
+                RrNodeKind::HWire { x: 0, y: 0, t: cw },
+                RrNodeKind::VWire {
+                    x: w + 1,
+                    y: 0,
+                    t: 0,
+                },
+                RrNodeKind::VWire { x: 0, y: h, t: 0 },
+                RrNodeKind::VWire { x: 0, y: 0, t: cw },
+                RrNodeKind::Opin { x: w, y: 0, pin: 0 },
+                RrNodeKind::Opin { x: 0, y: h, pin: 0 },
+                RrNodeKind::Opin {
+                    x: 0,
+                    y: 0,
+                    pin: outs,
+                },
+                RrNodeKind::Ipin { x: w, y: 0, pin: 0 },
+                RrNodeKind::Ipin { x: 0, y: h, pin: 0 },
+                RrNodeKind::Ipin {
+                    x: 0,
+                    y: 0,
+                    pin: ins,
+                },
+                RrNodeKind::Pad { id: g.pad_count() },
+                RrNodeKind::Pad { id: usize::MAX },
+                RrNodeKind::HWire {
+                    x: usize::MAX,
+                    y: usize::MAX,
+                    t: usize::MAX,
+                },
+            ] {
+                assert_eq!(g.node(kind), None, "{} {kind:?}", a.name);
+            }
+        }
     }
 
     #[test]

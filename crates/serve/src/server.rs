@@ -182,6 +182,8 @@ fn stats_body(state: &ServerState) -> String {
     w.field_u64("misses", stats.misses);
     w.field_u64("entries", stats.entries);
     w.field_u64("bytes", stats.bytes);
+    w.field_u64("evictions", stats.evictions);
+    w.field_u64("budget_bytes", stats.budget_bytes);
     w.end();
     w.finish()
 }

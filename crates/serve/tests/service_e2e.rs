@@ -37,6 +37,19 @@ fn health_stats_and_shutdown() {
     let stats = client::get(&addr, "/stats").unwrap();
     assert_eq!(stats.status, 200);
     assert!(stats.body.contains("\"compiles\":0"));
+    // Store pressure: the occupancy and eviction counters ride along
+    // with the traffic counters.
+    let budget = format!("\"budget_bytes\":{}", msaf_artifact::MEM_STORE_BUDGET_BYTES);
+    for field in [
+        "\"hits\":0",
+        "\"misses\":0",
+        "\"entries\":0",
+        "\"bytes\":0",
+        "\"evictions\":0",
+        &budget,
+    ] {
+        assert!(stats.body.contains(field), "no {field} in {}", stats.body);
+    }
 
     let missing = client::get(&addr, "/no-such").unwrap();
     assert_eq!(missing.status, 404);

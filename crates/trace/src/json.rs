@@ -214,6 +214,21 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or raw control byte in one piece. The input is a
+            // `&str` and every delimiter is ASCII, so the run's ends are
+            // char boundaries; validating only the run keeps parsing
+            // linear in the document size.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            if run > 0 {
+                let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                    .map_err(|_| self.err("invalid utf-8"))?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -249,16 +264,8 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so this is safe
-                    // to slice on char boundaries via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                // Otherwise the run stopped at a raw control byte.
+                Some(_) => return Err(self.err("raw control char in string")),
             }
         }
     }
@@ -502,6 +509,54 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{0007}f";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn strings_decode_multibyte_runs_and_escapes() {
+        for (doc, want) in [
+            (r#""""#, ""),
+            // 2-, 3- and 4-byte UTF-8 characters, alone and mixed.
+            (r#""é½€😀""#, "é½€😀"),
+            (r#""aé\n½b€\t😀""#, "aé\n½b€\t😀"),
+            // Escapes right next to runs.
+            (r#""a\nb""#, "a\nb"),
+            (r#""\"x""#, "\"x"),
+            (r#""x\"""#, "x\""),
+            (r#""\\\/""#, "\\/"),
+            (r#""Aéz\u001f""#, "Aéz\u{1f}"),
+            (r#""\u00e9\u00E9x\u0041""#, "ééxA"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        let keys = parse(r#"{"":1,"ключ":2}"#).unwrap();
+        assert_eq!(keys.get("ключ").unwrap().as_num(), Some(2.0));
+        assert_eq!(keys.get("").unwrap().as_num(), Some(1.0));
+    }
+
+    #[test]
+    fn raw_control_chars_are_rejected_inside_runs() {
+        for bad in ["\"a\u{1}b\"", "\"\n\"", "\"é\tx\"", "{\"k\u{1f}\":1}"] {
+            let err = parse(bad).expect_err(bad);
+            assert_eq!(err.msg, "raw control char in string", "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A decoder that re-validates the rest of the input per
+        // character needs minutes for 4 MiB; a linear one needs
+        // milliseconds, even in a debug build.
+        let body = "abcé€".repeat(1 << 19);
+        let doc = format!("\"{body}\"");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(v.as_str(), Some(body.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a {} byte string took {elapsed:?}",
+            body.len()
+        );
     }
 
     #[test]

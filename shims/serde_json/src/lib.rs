@@ -225,55 +225,58 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(Error("unterminated string".into()));
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one piece. The input came in as a `&str` and
+            // both delimiters are ASCII, so the run's ends are char
+            // boundaries; validating only the run keeps decoding linear
+            // in the document size.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            if run > 0 {
+                let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                    .map_err(|_| Error("invalid utf-8".into()))?;
+                out.push_str(text);
+                self.pos += run;
+            }
+            match self.peek() {
+                None => return Err(Error("unterminated string".into())),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                // Otherwise the run stopped at a backslash.
+                Some(_) => self.pos += 1,
+            }
+            let Some(e) = self.peek() else {
+                return Err(Error("unterminated escape".into()));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(Error("unterminated escape".into()));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(Error("truncated \\u escape".into()));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by the writer;
-                            // decode BMP scalars only.
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error("invalid \\u scalar".into()))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error(format!("bad escape '\\{}'", other as char)));
-                        }
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    if self.pos + 4 > self.bytes.len() {
+                        return Err(Error("truncated \\u escape".into()));
                     }
+                    let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                        .map_err(|_| Error("bad \\u escape".into()))?;
+                    let cp =
+                        u32::from_str_radix(hex, 16).map_err(|_| Error("bad \\u escape".into()))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by the writer;
+                    // decode BMP scalars only.
+                    out.push(char::from_u32(cp).ok_or_else(|| Error("invalid \\u scalar".into()))?);
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at pos-1.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                other => {
+                    return Err(Error(format!("bad escape '\\{}'", other as char)));
                 }
             }
         }
@@ -400,6 +403,50 @@ mod tests {
         assert_eq!(
             from_str::<Option<Vec<u8>>>(&to_string(&o).unwrap()).unwrap(),
             None
+        );
+    }
+
+    #[test]
+    fn strings_decode_multibyte_runs_and_escapes() {
+        for (doc, want) in [
+            (r#""""#, ""),
+            // 2-, 3- and 4-byte UTF-8 characters, alone and mixed.
+            (r#""é½€😀""#, "é½€😀"),
+            (r#""aé\n½b€\t😀""#, "aé\n½b€\t😀"),
+            // Escapes right next to runs.
+            (r#""a\nb""#, "a\nb"),
+            (r#""\"x""#, "\"x"),
+            (r#""x\"""#, "x\""),
+            (r#""\\\/""#, "\\/"),
+            (r#""Aéz\u001f""#, "Aéz\u{1f}"),
+            (r#""\u00e9\u00E9x\u0041""#, "ééxA"),
+        ] {
+            assert_eq!(from_str::<String>(doc).unwrap(), want, "{doc}");
+        }
+        for s in ["", "é½€😀 a\"b\\c\n\u{1}", "\"", "\\"] {
+            let s = s.to_string();
+            assert_eq!(from_str::<String>(&to_string(&s).unwrap()).unwrap(), s);
+        }
+        assert!(from_str::<String>("\"abc").is_err());
+        assert!(from_str::<String>("\"abc\\").is_err());
+        assert!(from_str::<String>(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A decoder that re-validates the rest of the input per
+        // character needs minutes for 4 MiB; a linear one needs
+        // milliseconds, even in a debug build.
+        let body = "abcé€".repeat(1 << 19);
+        let doc = to_string(&body).unwrap();
+        let start = std::time::Instant::now();
+        let back = from_str::<String>(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back, body);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a {} byte string took {elapsed:?}",
+            body.len()
         );
     }
 
