@@ -13,9 +13,10 @@
 //! **structural** fields (event counts, glitches, net counts, router
 //! iterations, rip-ups, nodes popped, wirelength, placement cost and
 //! move counts — everything except the timings) are diffed against the
-//! committed `BENCH_*.json` in `outdir`. A mismatch means circuit or
-//! tool behaviour drifted without the snapshot being regenerated — the
-//! process exits non-zero so CI fails.
+//! committed `BENCH_*.json` in `outdir`. Both sides go through one JSON
+//! parser, so the committed files may use any layout. A mismatch means
+//! circuit or tool behaviour drifted without the snapshot being
+//! regenerated — the process exits non-zero so CI fails.
 //!
 //! With `--filter <substr>`, only workloads whose row name contains the
 //! substring run — the fast-subset knob for CI (the timed smoke run
@@ -66,6 +67,8 @@ use msaf_sim::{
     default_stimulus, run_campaign, token_run, CampaignOptions, PerKindDelay, TokenRunOptions,
     FAULT_KINDS,
 };
+use msaf_trace::json::{parse, JsonValue};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -98,13 +101,20 @@ fn time_it(min_reps: u32, min_ms: f64, mut f: impl FnMut()) -> (u32, f64, f64) {
     (reps, total, best)
 }
 
+/// `v` rounded to `decimals` places — the precision a snapshot records.
+fn round_to(v: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (v * scale).round() / scale
+}
+
+#[derive(Serialize)]
 struct SimRow {
     name: &'static str,
     events_per_run: u64,
+    glitches: u64,
     best_ms: f64,
     mean_ms: f64,
     events_per_sec: f64,
-    glitches: u64,
 }
 
 fn sim_workload(name: &'static str, nl: &Netlist, channel: &str, timed: bool) -> SimRow {
@@ -123,13 +133,14 @@ fn sim_workload(name: &'static str, nl: &Netlist, channel: &str, timed: bool) ->
     SimRow {
         name,
         events_per_run: report.events,
-        best_ms: best,
-        mean_ms: mean,
-        events_per_sec: report.events as f64 / (best / 1e3),
         glitches: report.glitches as u64,
+        best_ms: round_to(best, 3),
+        mean_ms: round_to(mean, 3),
+        events_per_sec: (report.events as f64 / (best / 1e3)).round(),
     }
 }
 
+#[derive(Serialize)]
 struct CadRow {
     name: String,
     nets: usize,
@@ -142,8 +153,9 @@ struct CadRow {
     colors: u64,
     /// Largest single color class — peak exposed negotiation parallelism.
     max_class: u64,
-    /// `colors / ripups` (0 when nothing rerouted): 1.0 = fully serial
-    /// negotiation, near 0 = almost entirely parallelizable.
+    /// `colors / ripups` (0 when nothing rerouted), to three decimals:
+    /// 1.0 = fully serial negotiation, near 0 = almost entirely
+    /// parallelizable.
     conflict_serial_frac: f64,
     best_ms: f64,
     mean_ms: f64,
@@ -152,19 +164,26 @@ struct CadRow {
     best_ms_t4: f64,
 }
 
+#[derive(Serialize)]
 struct PlaceRow {
     name: String,
     plbs: usize,
-    grid: (usize, usize),
+    /// `<width>x<height>`.
+    grid: String,
     moves: u64,
     accepted: u64,
     cost: u64,
     best_ms: f64,
     best_ms_full: f64,
+    moves_per_sec: f64,
+    moves_per_sec_full: f64,
+    /// `best_ms_full / best_ms`, to two decimals.
+    speedup: f64,
 }
 
 /// One timing-driven routing row: the same workload routed untimed and
 /// at [`TIMING_FAC`], with the slack analysis' headline numbers.
+#[derive(Serialize)]
 struct TimingRow {
     name: String,
     nets: usize,
@@ -329,10 +348,10 @@ fn cad_workload(
         wirelength,
         colors: first.stats.conflict_colors,
         max_class: first.stats.max_class,
-        conflict_serial_frac,
-        best_ms: best,
-        mean_ms: mean,
-        best_ms_t4: best_t4,
+        conflict_serial_frac: round_to(conflict_serial_frac, 3),
+        best_ms: round_to(best, 3),
+        mean_ms: round_to(mean, 3),
+        best_ms_t4: round_to(best_t4, 3),
     }
 }
 
@@ -356,19 +375,23 @@ fn place_workload(w: &msaf_bench::workloads::CadWorkload, timed: bool) -> PlaceR
     } else {
         (f64::NAN, f64::NAN)
     };
+    let moves = pl.stats.moves_attempted;
     PlaceRow {
         name: format!("place_{}", w.name),
         plbs: w.packed.plb_count(),
-        grid: (w.arch.width, w.arch.height),
-        moves: pl.stats.moves_attempted,
+        grid: format!("{}x{}", w.arch.width, w.arch.height),
+        moves,
         accepted: pl.stats.moves_accepted,
         cost: pl.cost as u64,
-        best_ms: best,
-        best_ms_full: best_full,
+        best_ms: round_to(best, 3),
+        best_ms_full: round_to(best_full, 3),
+        moves_per_sec: (moves as f64 / (best / 1e3)).round(),
+        moves_per_sec_full: (moves as f64 / (best_full / 1e3)).round(),
+        speedup: round_to(best_full / best, 2),
     }
 }
 
-fn sim_rows(timed: bool, filter: &str) -> Vec<SimRow> {
+fn sim_rows(timed: bool, filter: &str) -> SimSnapshot {
     let fifo2_msa = msaf_bench::workloads::msa_example("fifo2").expect("committed example");
     let specs: [(&'static str, Netlist, &'static str); 3] = [
         ("wchb_fifo_d4_w4_32tok", wchb_fifo(4, 4), "in"),
@@ -379,25 +402,49 @@ fn sim_rows(timed: bool, filter: &str) -> Vec<SimRow> {
             "inp",
         ),
     ];
-    specs
+    let workloads = specs
         .into_iter()
         .filter(|(name, _, _)| name.contains(filter))
         .map(|(name, nl, ch)| sim_workload(name, &nl, ch, timed))
-        .collect()
+        .collect();
+    SimSnapshot {
+        host_threads: host_threads(),
+        workloads,
+    }
 }
 
-/// CAD rows plus any timing-contract violations (reported, not
-/// panicked — see `timing_workload`).
-type CadRows = (Vec<CadRow>, Vec<PlaceRow>, Vec<TimingRow>, Vec<String>);
+/// `BENCH_sim.json`.
+#[derive(Serialize)]
+struct SimSnapshot {
+    host_threads: usize,
+    workloads: Vec<SimRow>,
+}
 
-fn cad_rows(timed: bool, filter: &str) -> CadRows {
+/// `BENCH_cad.json`.
+#[derive(Serialize)]
+struct CadSnapshot {
+    host_threads: usize,
+    workloads: Vec<CadRow>,
+    placements: Vec<PlaceRow>,
+    timing: Vec<TimingRow>,
+}
+
+/// `BENCH_faults.json`.
+#[derive(Serialize)]
+struct FaultSnapshot {
+    workloads: Vec<FaultRow>,
+}
+
+/// The CAD snapshot plus any timing-contract violations (reported, not
+/// panicked — see `timing_workload`).
+fn cad_rows(timed: bool, filter: &str) -> (CadSnapshot, Vec<String>) {
     let mut rows = Vec::new();
     let mut prows = Vec::new();
     let mut trows = Vec::new();
     let mut violations = Vec::new();
 
-    // The paper-scale flow route (mirrors benches/cad_flow.rs
-    // bench_route), now built through the shared workload constructor.
+    // The paper-scale flow route, built through the shared workload
+    // constructor.
     let nl = msaf_bench::workloads::adder("qdi", 4).expect("workload");
     let adder4 = msaf_bench::workloads::CadWorkload::build("qdi_adder_4b", &nl, 7);
     // Keep the historical fixed 8x8 grid for this row (the sizing policy
@@ -461,7 +508,13 @@ fn cad_rows(timed: bool, filter: &str) -> CadRows {
                 .to_string(),
         );
     }
-    (rows, prows, trows, violations)
+    let snapshot = CadSnapshot {
+        host_threads: host_threads(),
+        workloads: rows,
+        placements: prows,
+        timing: trows,
+    };
+    (snapshot, violations)
 }
 
 /// One fault-campaign row: the full classification census of
@@ -469,6 +522,7 @@ fn cad_rows(timed: bool, filter: &str) -> CadRows {
 /// observables. Every field is structural — campaigns are
 /// byte-identical at any thread count, so these rows never carry
 /// timings and behave the same in timed and `--check` runs.
+#[derive(Serialize)]
 struct FaultRow {
     name: String,
     /// Whether the style is delay-insensitive (QDI/WCHB) — decides
@@ -484,9 +538,9 @@ struct FaultRow {
     delay_corrupted: usize,
     /// Smallest corrupting delay multiplier; 0 = none (the DI answer).
     delay_threshold: u64,
-    /// [`msaf_sim::FaultReport::digest`] — pins per-fault outcomes, not
-    /// just the counts.
-    digest: u64,
+    /// [`msaf_sim::FaultReport::digest`] in hex — pins per-fault
+    /// outcomes, not just the counts.
+    digest: String,
 }
 
 /// Runs the committed fault campaigns (adder4.msa in every style) and
@@ -494,7 +548,7 @@ struct FaultRow {
 /// corruptions under delay faults, bundled data has a finite
 /// corruption threshold; campaigns at 1 and 4 worker threads produce
 /// the identical digest.
-fn fault_rows(filter: &str, violations: &mut Vec<String>) -> Vec<FaultRow> {
+fn fault_rows(filter: &str, violations: &mut Vec<String>) -> FaultSnapshot {
     let src = msaf_bench::workloads::msa_example("adder4").expect("committed example");
     let mut rows = Vec::new();
     for style in ["qdi", "wchb", "bundled"] {
@@ -558,36 +612,10 @@ fn fault_rows(filter: &str, violations: &mut Vec<String>) -> Vec<FaultRow> {
             budget_exhausted: totals.budget_exhausted,
             delay_corrupted: delay.corrupted,
             delay_threshold: report.delay_corruption_threshold().unwrap_or(0),
-            digest: report.digest(),
+            digest: format!("{:#018x}", report.digest()),
         });
     }
-    rows
-}
-
-fn render_faults(rows: &[FaultRow]) -> String {
-    let mut json = "{\n  \"workloads\": [\n".to_string();
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"di\": {}, \"faults\": {}, \"masked\": {}, \
-             \"glitch_only\": {}, \"corrupted\": {}, \"deadlocked\": {}, \
-             \"budget_exhausted\": {}, \"delay_corrupted\": {}, \"delay_threshold\": {}, \
-             \"digest\": \"{:#018x}\"}}{}\n",
-            r.name,
-            r.di,
-            r.faults,
-            r.masked,
-            r.glitch_only,
-            r.corrupted,
-            r.deadlocked,
-            r.budget_exhausted,
-            r.delay_corrupted,
-            r.delay_threshold,
-            r.digest,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
+    FaultSnapshot { workloads: rows }
 }
 
 /// The capturing host's available parallelism, recorded in every
@@ -597,396 +625,157 @@ fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-fn render_sim(rows: &[SimRow]) -> String {
-    let mut json = format!(
-        "{{\n  \"host_threads\": {},\n  \"workloads\": [\n",
-        host_threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events_per_run\": {}, \"glitches\": {}, \
-             \"best_ms\": {:.3}, \"mean_ms\": {:.3}, \"events_per_sec\": {:.0}}}{}\n",
-            r.name,
-            r.events_per_run,
-            r.glitches,
-            r.best_ms,
-            r.mean_ms,
-            r.events_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+fn to_json(snapshot: &impl Serialize) -> String {
+    let mut json = serde_json::to_string_pretty(snapshot).expect("snapshots serialize");
+    json.push('\n');
     json
 }
 
-fn render_cad(rows: &[CadRow], prows: &[PlaceRow], trows: &[TimingRow]) -> String {
-    let mut json = format!(
-        "{{\n  \"host_threads\": {},\n  \"workloads\": [\n",
-        host_threads()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"nets\": {}, \"iterations\": {}, \"ripups\": {}, \
-             \"nodes_popped\": {}, \"nodes_popped_dijkstra\": {}, \"wirelength\": {}, \
-             \"colors\": {}, \"max_class\": {}, \"conflict_serial_frac\": {:.3}, \
-             \"best_ms\": {:.3}, \"mean_ms\": {:.3}, \"best_ms_t4\": {:.3}}}{}\n",
-            r.name,
-            r.nets,
-            r.iterations,
-            r.ripups,
-            r.nodes_popped,
-            r.nodes_popped_dijkstra,
-            r.wirelength,
-            r.colors,
-            r.max_class,
-            r.conflict_serial_frac,
-            r.best_ms,
-            r.mean_ms,
-            r.best_ms_t4,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"placements\": [\n");
-    for (i, r) in prows.iter().enumerate() {
-        let mps = r.moves as f64 / (r.best_ms / 1e3);
-        let mps_full = r.moves as f64 / (r.best_ms_full / 1e3);
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"plbs\": {}, \"grid\": \"{}x{}\", \"moves\": {}, \
-             \"accepted\": {}, \"cost\": {}, \"best_ms\": {:.3}, \"best_ms_full\": {:.3}, \
-             \"moves_per_sec\": {:.0}, \"moves_per_sec_full\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            r.name,
-            r.plbs,
-            r.grid.0,
-            r.grid.1,
-            r.moves,
-            r.accepted,
-            r.cost,
-            r.best_ms,
-            r.best_ms_full,
-            mps,
-            mps_full,
-            r.best_ms_full / r.best_ms,
-            if i + 1 < prows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"timing\": [\n");
-    for (i, r) in trows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"nets\": {}, \"iterations\": {}, \
-             \"iterations_untimed\": {}, \"crit_delay_pre\": {}, \"crit_delay_post\": {}, \
-             \"crit_delay_untimed\": {}, \"worst_slack\": {}, \"wirelength\": {}, \
-             \"wirelength_untimed\": {}, \"crit_hist\": \"{}\"}}{}\n",
-            r.name,
-            r.nets,
-            r.iterations,
-            r.iterations_untimed,
-            r.crit_delay_pre,
-            r.crit_delay_post,
-            r.crit_delay_untimed,
-            r.worst_slack,
-            r.wirelength,
-            r.wirelength_untimed,
-            r.crit_hist,
-            if i + 1 < trows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
+/// The structural fields of each section, by file: everything except
+/// the timings and the values derived from them.
+const SIM_SECTIONS: &[(&str, &[&str])] = &[("workloads", &["events_per_run", "glitches"])];
+const CAD_SECTIONS: &[(&str, &[&str])] = &[
+    (
+        "workloads",
+        &[
+            "nets",
+            "iterations",
+            "ripups",
+            "nodes_popped",
+            "nodes_popped_dijkstra",
+            "wirelength",
+            "colors",
+            "max_class",
+            "conflict_serial_frac",
+        ],
+    ),
+    ("placements", &["plbs", "moves", "accepted", "cost"]),
+    (
+        "timing",
+        &[
+            "nets",
+            "iterations",
+            "iterations_untimed",
+            "crit_delay_pre",
+            "crit_delay_post",
+            "crit_delay_untimed",
+            "worst_slack",
+            "wirelength",
+            "wirelength_untimed",
+            "crit_hist",
+        ],
+    ),
+];
+const FAULT_SECTIONS: &[(&str, &[&str])] = &[(
+    "workloads",
+    &[
+        "di",
+        "faults",
+        "masked",
+        "glitch_only",
+        "corrupted",
+        "deadlocked",
+        "budget_exhausted",
+        "delay_corrupted",
+        "delay_threshold",
+        "digest",
+    ],
+)];
+
+fn name(row: &JsonValue) -> &str {
+    row.get("name").and_then(JsonValue::as_str).unwrap_or("")
 }
 
-/// Extracts `"field": "<string>"` from a one-row JSON line.
-fn field_str<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let key = format!("\"{field}\": \"");
-    let at = line.find(&key)? + key.len();
-    let rest = &line[at..];
-    rest.split('"').next()
+fn rows<'a>(doc: &'a JsonValue, section: &str) -> &'a [JsonValue] {
+    doc.get(section).and_then(JsonValue::as_arr).unwrap_or(&[])
 }
 
-/// Diffs one structural string field, appending a description on
-/// mismatch.
-fn diff_field_str(
-    mismatches: &mut Vec<String>,
+fn show(v: &JsonValue) -> String {
+    match v {
+        JsonValue::Num(n) => n.to_string(),
+        JsonValue::Str(s) => format!("\"{s}\""),
+        JsonValue::Bool(b) => b.to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Diffs `fields` of every row of the `current` snapshot's `section`
+/// against the same-named row of the `committed` one, returning one
+/// message per missing row or differing field.
+fn diff_section(
     file: &str,
-    row: &str,
-    line: Option<&str>,
-    field: &str,
-    current: &str,
-) {
-    match line.and_then(|l| field_str(l, field)) {
-        Some(committed) if committed == current => {}
-        Some(committed) => mismatches.push(format!(
-            "{file}: {row}.{field}: committed \"{committed}\", current \"{current}\""
-        )),
-        None => mismatches.push(format!(
-            "{file}: {row}.{field}: missing from the committed snapshot"
-        )),
+    committed: &JsonValue,
+    current: &JsonValue,
+    section: &str,
+    fields: &[&str],
+) -> Vec<String> {
+    let mut mismatches = Vec::new();
+    for cur in rows(current, section) {
+        let row = name(cur);
+        let Some(old) = rows(committed, section).iter().find(|r| name(r) == row) else {
+            mismatches.push(format!("{file}: row '{row}' missing"));
+            continue;
+        };
+        for &field in fields {
+            match (old.get(field), cur.get(field)) {
+                (Some(c), Some(v)) if c == v => {}
+                (Some(c), Some(v)) => mismatches.push(format!(
+                    "{file}: {row}.{field}: committed {}, current {}",
+                    show(c),
+                    show(v)
+                )),
+                _ => mismatches.push(format!(
+                    "{file}: {row}.{field}: missing from the committed snapshot"
+                )),
+            }
+        }
     }
-}
-
-/// Extracts `"field": <unsigned integer>` from a one-row JSON line.
-fn field_u64(line: &str, field: &str) -> Option<u64> {
-    let key = format!("\"{field}\": ");
-    let at = line.find(&key)? + key.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"field": <number>` (integer or decimal) from a one-row
-/// JSON line. `NaN` (the untimed-run placeholder) parses as `None`.
-fn field_f64(line: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\": ");
-    let at = line.find(&key)? + key.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The committed row line for a workload name, if present.
-fn committed_row<'a>(text: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"name\": \"{name}\"");
-    text.lines().find(|l| l.contains(&tag))
-}
-
-/// Diffs one structural field, appending a description on mismatch.
-fn diff_field(
-    mismatches: &mut Vec<String>,
-    file: &str,
-    row: &str,
-    line: Option<&str>,
-    field: &str,
-    current: u64,
-) {
-    match line.and_then(|l| field_u64(l, field)) {
-        Some(committed) if committed == current => {}
-        Some(committed) => mismatches.push(format!(
-            "{file}: {row}.{field}: committed {committed}, current {current}"
-        )),
-        None => mismatches.push(format!(
-            "{file}: {row}.{field}: missing from the committed snapshot"
-        )),
-    }
+    mismatches
 }
 
 fn check(outdir: &str, filter: &str) -> ExitCode {
     let mut mismatches = Vec::new();
     let mut rows_checked = 0usize;
 
-    let sim_path = format!("{outdir}/BENCH_sim.json");
-    match std::fs::read_to_string(&sim_path) {
-        Ok(committed) => {
-            if field_u64(&committed, "host_threads").is_none() {
-                mismatches.push(format!(
-                    "{sim_path}: host_threads missing from the committed snapshot"
-                ));
-            }
-            for r in sim_rows(false, filter) {
-                let line = committed_row(&committed, r.name);
-                if line.is_none() {
-                    mismatches.push(format!("{sim_path}: row '{}' missing", r.name));
+    let sim = sim_rows(false, filter);
+    let (cad, mut violations) = cad_rows(false, filter);
+    let faults = fault_rows(filter, &mut violations);
+    mismatches.append(&mut violations);
+    let files = [
+        ("BENCH_sim.json", to_json(&sim), SIM_SECTIONS),
+        ("BENCH_cad.json", to_json(&cad), CAD_SECTIONS),
+        ("BENCH_faults.json", to_json(&faults), FAULT_SECTIONS),
+    ];
+    for (file, current, sections) in files {
+        let path = format!("{outdir}/{file}");
+        let committed = match std::fs::read_to_string(&path) {
+            Ok(text) => match parse(&text) {
+                Ok(doc) => doc,
+                Err(e) => {
+                    mismatches.push(format!("{path}: not valid JSON: {e}"));
                     continue;
                 }
-                diff_field(
-                    &mut mismatches,
-                    &sim_path,
-                    r.name,
-                    line,
-                    "events_per_run",
-                    r.events_per_run,
-                );
-                diff_field(
-                    &mut mismatches,
-                    &sim_path,
-                    r.name,
-                    line,
-                    "glitches",
-                    r.glitches,
-                );
-                rows_checked += 1;
+            },
+            Err(e) => {
+                mismatches.push(format!("{path}: cannot read: {e}"));
+                continue;
             }
+        };
+        let current = parse(&current).expect("the writer emits valid JSON");
+        for &(section, fields) in sections {
+            mismatches.extend(diff_section(&path, &committed, &current, section, fields));
+            rows_checked += rows(&current, section).len();
         }
-        Err(e) => mismatches.push(format!("{sim_path}: cannot read: {e}")),
-    }
-
-    let cad_path = format!("{outdir}/BENCH_cad.json");
-    match std::fs::read_to_string(&cad_path) {
-        Ok(committed) => {
-            // Every snapshot must say what host captured it — without
-            // this the timing expectations below are meaningless.
-            let committed_host = field_u64(&committed, "host_threads");
-            if committed_host.is_none() {
-                mismatches.push(format!(
-                    "{cad_path}: host_threads missing from the committed snapshot"
-                ));
-            }
-            let (rows, prows, trows, violations) = cad_rows(false, filter);
-            mismatches.extend(violations);
-            for r in rows {
-                let line = committed_row(&committed, &r.name);
-                if line.is_none() {
-                    mismatches.push(format!("{cad_path}: row '{}' missing", r.name));
-                    continue;
-                }
-                for (field, value) in [
-                    ("nets", r.nets as u64),
-                    ("iterations", r.iterations as u64),
-                    ("ripups", r.ripups),
-                    ("nodes_popped", r.nodes_popped),
-                    ("nodes_popped_dijkstra", r.nodes_popped_dijkstra),
-                    ("wirelength", r.wirelength as u64),
-                    ("colors", r.colors),
-                    ("max_class", r.max_class),
-                ] {
-                    diff_field(&mut mismatches, &cad_path, &r.name, line, field, value);
-                }
-                // The serial fraction is a deterministic ratio of two
-                // pinned integers; compare at its rendered precision.
-                let current_frac = format!("{:.3}", r.conflict_serial_frac);
-                match line.and_then(|l| field_f64(l, "conflict_serial_frac")) {
-                    Some(c) if format!("{c:.3}") == current_frac => {}
-                    Some(c) => mismatches.push(format!(
-                        "{cad_path}: {}.conflict_serial_frac: committed {c:.3}, \
-                         current {current_frac}",
-                        r.name
-                    )),
-                    None => mismatches.push(format!(
-                        "{cad_path}: {}.conflict_serial_frac: missing from the committed \
-                         snapshot",
-                        r.name
-                    )),
-                }
-                // Host-aware timing expectation: on a multicore capture
-                // host, 4-thread routing of a fabric-scale workload must
-                // not lose to serial (both numbers come from the same
-                // committed run, so this never re-times anything). A
-                // 1-CPU capture host measures determinism overhead, not
-                // speedup — skip.
-                if committed_host.is_some_and(|h| h >= 2) && r.nets >= 250 {
-                    if let (Some(best), Some(t4)) = (
-                        line.and_then(|l| field_f64(l, "best_ms")),
-                        line.and_then(|l| field_f64(l, "best_ms_t4")),
-                    ) {
-                        if t4 > best {
-                            mismatches.push(format!(
-                                "{cad_path}: {}: committed best_ms_t4 {t4:.3} loses to \
-                                 best_ms {best:.3} on a {}-thread capture host",
-                                r.name,
-                                committed_host.unwrap_or(0)
-                            ));
-                        }
-                    }
-                }
-                rows_checked += 1;
-            }
-            // Fabric-scale contract: the committed snapshot must carry at
-            // least one route row past 1000 nets (the hierarchy
-            // workloads' regime — a snapshot without one means the
-            // fabric-scale rows silently vanished). Unfiltered runs
-            // only: a filtered check legitimately sees a subset.
-            if filter.is_empty()
-                && !committed.lines().any(|l| {
-                    l.contains("\"name\": \"route_")
-                        && field_u64(l, "nets").is_some_and(|n| n >= 1000)
-                })
-            {
-                mismatches.push(format!(
-                    "{cad_path}: no committed route row reaches 1000 nets"
-                ));
-            }
-            for r in prows {
-                let line = committed_row(&committed, &r.name);
-                if line.is_none() {
-                    mismatches.push(format!("{cad_path}: row '{}' missing", r.name));
-                    continue;
-                }
-                for (field, value) in [
-                    ("plbs", r.plbs as u64),
-                    ("moves", r.moves),
-                    ("accepted", r.accepted),
-                    ("cost", r.cost),
-                ] {
-                    diff_field(&mut mismatches, &cad_path, &r.name, line, field, value);
-                }
-                rows_checked += 1;
-            }
-            for r in trows {
-                let line = committed_row(&committed, &r.name);
-                if line.is_none() {
-                    mismatches.push(format!("{cad_path}: row '{}' missing", r.name));
-                    continue;
-                }
-                for (field, value) in [
-                    ("nets", r.nets as u64),
-                    ("iterations", r.iterations as u64),
-                    ("iterations_untimed", r.iterations_untimed as u64),
-                    ("crit_delay_pre", r.crit_delay_pre),
-                    ("crit_delay_post", r.crit_delay_post),
-                    ("crit_delay_untimed", r.crit_delay_untimed),
-                    ("worst_slack", r.worst_slack),
-                    ("wirelength", r.wirelength as u64),
-                    ("wirelength_untimed", r.wirelength_untimed as u64),
-                ] {
-                    diff_field(&mut mismatches, &cad_path, &r.name, line, field, value);
-                }
-                diff_field_str(
-                    &mut mismatches,
-                    &cad_path,
-                    &r.name,
-                    line,
-                    "crit_hist",
-                    &r.crit_hist,
-                );
-                rows_checked += 1;
-            }
+        // Every snapshot that records its capture host must say so when
+        // committed — without it the timing expectations are meaningless.
+        if current.get("host_threads").is_some() && committed.get("host_threads").is_none() {
+            mismatches.push(format!(
+                "{path}: host_threads missing from the committed snapshot"
+            ));
         }
-        Err(e) => mismatches.push(format!("{cad_path}: cannot read: {e}")),
-    }
-
-    let faults_path = format!("{outdir}/BENCH_faults.json");
-    match std::fs::read_to_string(&faults_path) {
-        Ok(committed) => {
-            let mut violations = Vec::new();
-            for r in fault_rows(filter, &mut violations) {
-                let line = committed_row(&committed, &r.name);
-                if line.is_none() {
-                    mismatches.push(format!("{faults_path}: row '{}' missing", r.name));
-                    continue;
-                }
-                for (field, value) in [
-                    ("faults", r.faults as u64),
-                    ("masked", r.masked as u64),
-                    ("glitch_only", r.glitch_only as u64),
-                    ("corrupted", r.corrupted as u64),
-                    ("deadlocked", r.deadlocked as u64),
-                    ("budget_exhausted", r.budget_exhausted as u64),
-                    ("delay_corrupted", r.delay_corrupted as u64),
-                    ("delay_threshold", r.delay_threshold),
-                ] {
-                    diff_field(&mut mismatches, &faults_path, &r.name, line, field, value);
-                }
-                diff_field_str(
-                    &mut mismatches,
-                    &faults_path,
-                    &r.name,
-                    line,
-                    "digest",
-                    &format!("{:#018x}", r.digest),
-                );
-                if !line.is_some_and(|l| l.contains(&format!("\"di\": {}", r.di))) {
-                    mismatches.push(format!(
-                        "{faults_path}: {}.di: committed snapshot disagrees with current {}",
-                        r.name, r.di
-                    ));
-                }
-                rows_checked += 1;
-            }
-            mismatches.extend(violations);
+        if file == "BENCH_cad.json" {
+            mismatches.extend(cad_contracts(&path, &committed, filter));
         }
-        Err(e) => mismatches.push(format!("{faults_path}: cannot read: {e}")),
     }
 
     if mismatches.is_empty() {
@@ -1003,6 +792,51 @@ fn check(outdir: &str, filter: &str) -> ExitCode {
         }
         ExitCode::FAILURE
     }
+}
+
+/// The committed CAD snapshot's own contracts: its timings must not
+/// contradict a multicore capture host, and an unfiltered check needs a
+/// fabric-scale route row.
+fn cad_contracts(path: &str, committed: &JsonValue, filter: &str) -> Vec<String> {
+    let num = |r: &JsonValue, field: &str| r.get(field).and_then(JsonValue::as_num);
+    let nets_at_least = |r: &JsonValue, n: f64| num(r, "nets").is_some_and(|nets| nets >= n);
+    let routes = rows(committed, "workloads");
+    let mut mismatches = Vec::new();
+    // Host-aware timing expectation: on a multicore capture host,
+    // 4-thread routing of a fabric-scale workload must not lose to
+    // serial (both numbers come from the same committed run, so this
+    // never re-times anything). A 1-CPU capture host measures
+    // determinism overhead, not speedup — skip.
+    let host = num(committed, "host_threads").unwrap_or(0.0);
+    if host >= 2.0 {
+        for r in routes
+            .iter()
+            .filter(|r| name(r).contains(filter) && nets_at_least(r, 250.0))
+        {
+            if let (Some(best), Some(t4)) = (num(r, "best_ms"), num(r, "best_ms_t4")) {
+                if t4 > best {
+                    mismatches.push(format!(
+                        "{path}: {}: committed best_ms_t4 {t4:.3} loses to best_ms {best:.3} \
+                         on a {host}-thread capture host",
+                        name(r)
+                    ));
+                }
+            }
+        }
+    }
+    // Fabric-scale contract: the committed snapshot must carry at least
+    // one route row past 1000 nets (the hierarchy workloads' regime — a
+    // snapshot without one means the fabric-scale rows silently
+    // vanished). Unfiltered runs only: a filtered check legitimately
+    // sees a subset.
+    if filter.is_empty()
+        && !routes
+            .iter()
+            .any(|r| name(r).starts_with("route_") && nets_at_least(r, 1000.0))
+    {
+        mismatches.push(format!("{path}: no committed route row reaches 1000 nets"));
+    }
+    mismatches
 }
 
 fn main() -> ExitCode {
@@ -1032,34 +866,26 @@ fn main() -> ExitCode {
         return check(&outdir, &filter);
     }
 
-    if !filter.is_empty() {
-        // A filtered timed run prints but never writes: a partial
-        // snapshot would fail the next --check as "rows missing".
-        let sim_json = render_sim(&sim_rows(true, &filter));
-        print!("BENCH_sim.json (filtered '{filter}', not written):\n{sim_json}");
-        let (rows, prows, trows, mut violations) = cad_rows(true, &filter);
-        let cad_json = render_cad(&rows, &prows, &trows);
-        print!("BENCH_cad.json (filtered '{filter}', not written):\n{cad_json}");
-        let faults_json = render_faults(&fault_rows(&filter, &mut violations));
-        print!("BENCH_faults.json (filtered '{filter}', not written):\n{faults_json}");
-        return report_violations(&violations);
-    }
-
-    let sim_json = render_sim(&sim_rows(true, &filter));
-    std::fs::write(format!("{outdir}/BENCH_sim.json"), &sim_json).expect("write BENCH_sim.json");
-    print!("BENCH_sim.json:\n{sim_json}");
-
-    let (rows, prows, trows, mut violations) = cad_rows(true, &filter);
-    let cad_json = render_cad(&rows, &prows, &trows);
-    // Written even when the timing contract is violated (a reviewer
-    // needs the drifted snapshot to diff), but the run still fails.
-    std::fs::write(format!("{outdir}/BENCH_cad.json"), &cad_json).expect("write BENCH_cad.json");
-    print!("BENCH_cad.json:\n{cad_json}");
-
-    let faults_json = render_faults(&fault_rows(&filter, &mut violations));
-    std::fs::write(format!("{outdir}/BENCH_faults.json"), &faults_json)
-        .expect("write BENCH_faults.json");
-    print!("BENCH_faults.json:\n{faults_json}");
+    // A filtered timed run prints but never writes: a partial snapshot
+    // would fail the next --check as "rows missing". The CAD snapshot is
+    // written even when the timing contract is violated (the drifted
+    // snapshot is what a code review diffs), but the run still fails.
+    let emit = |file: &str, json: String| {
+        if filter.is_empty() {
+            std::fs::write(format!("{outdir}/{file}"), &json)
+                .unwrap_or_else(|e| panic!("write {file}: {e}"));
+            print!("{file}:\n{json}");
+        } else {
+            print!("{file} (filtered '{filter}', not written):\n{json}");
+        }
+    };
+    emit("BENCH_sim.json", to_json(&sim_rows(true, &filter)));
+    let (cad, mut violations) = cad_rows(true, &filter);
+    emit("BENCH_cad.json", to_json(&cad));
+    emit(
+        "BENCH_faults.json",
+        to_json(&fault_rows(&filter, &mut violations)),
+    );
     report_violations(&violations)
 }
 
@@ -1075,4 +901,55 @@ fn report_violations(violations: &[String]) -> ExitCode {
         eprintln!("  {v}");
     }
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two rows in the one-line-per-row layout the snapshots had before
+    /// the writer pretty-printed them.
+    const CURRENT: &str = r#"{"workloads": [
+        {"name": "route_a", "nets": 66, "crit_hist": "1|2", "best_ms": 2.119},
+        {"name": "route_b", "nets": 9, "crit_hist": "0|9", "best_ms": 0.5}
+    ]}"#;
+
+    fn diff(committed: &str) -> Vec<String> {
+        let committed = parse(committed).unwrap();
+        let current = parse(CURRENT).unwrap();
+        let fields = ["nets", "crit_hist"];
+        diff_section("BENCH_cad.json", &committed, &current, "workloads", &fields)
+    }
+
+    #[test]
+    fn identical_documents_match() {
+        assert!(diff(CURRENT).is_empty());
+    }
+
+    #[test]
+    fn a_changed_structural_field_names_file_row_field_and_values() {
+        let committed = CURRENT.replace("\"nets\": 9,", "\"nets\": 10,");
+        assert_eq!(
+            diff(&committed),
+            ["BENCH_cad.json: route_b.nets: committed 10, current 9"]
+        );
+    }
+
+    #[test]
+    fn a_changed_timing_field_is_not_a_mismatch() {
+        assert!(diff(&CURRENT.replace("2.119", "7.5")).is_empty());
+    }
+
+    #[test]
+    fn a_missing_row_is_named() {
+        let committed = r#"{"workloads": [{"name": "route_a", "nets": 66, "crit_hist": "1|2"}]}"#;
+        assert_eq!(diff(committed), ["BENCH_cad.json: row 'route_b' missing"]);
+    }
+
+    #[test]
+    fn a_pretty_printed_committed_document_matches() {
+        let pretty = CURRENT.replace(", ", ",\n      ");
+        assert!(pretty.lines().count() > CURRENT.lines().count());
+        assert!(diff(&pretty).is_empty());
+    }
 }

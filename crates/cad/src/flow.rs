@@ -1,15 +1,17 @@
 //! The end-to-end compile flow: netlist in, programmed fabric out.
 
-use crate::bitgen::{assemble, bind, BitgenError};
+use crate::bitgen::{assemble, bind, Binding, BitgenError};
 use crate::checkpoint;
 use crate::pack::{pack, PackError, PackedDesign};
 use crate::place::{place_traced, PlaceError, PlaceOptions, Placement};
 use crate::report::FlowReport;
-use crate::route::{route_traced, RouteError, RouteOptions};
+use crate::route::{route_traced, RouteError, RouteOptions, RoutingResult};
 use crate::techmap::{map, MapError, MappedDesign};
-use crate::timing::{RouteTimingCtx, TimingGraph};
+use crate::timing::{RouteTimingCtx, TimingGraph, TimingReport, TimingSummary};
 use msaf_artifact::digest::{fnv1a, Fnv64};
-use msaf_artifact::{Artifact, ArtifactStore, BitstreamArtifact, PackArtifact, Stage};
+use msaf_artifact::{
+    Artifact, ArtifactStore, BitstreamArtifact, PackArtifact, PlaceArtifact, RouteArtifact, Stage,
+};
 use msaf_fabric::arch::ArchSpec;
 use msaf_fabric::bitstream::FabricConfig;
 use msaf_fabric::rrg::Rrg;
@@ -122,13 +124,6 @@ pub struct CompiledDesign {
     pub report: FlowReport,
 }
 
-/// Smallest grid fitting `plbs` logic blocks and `io` perimeter pads
-/// (the shared policy lives on [`ArchSpec::size_for`] so the
-/// fabric-scale benchmark workloads size grids identically).
-fn size_grid(plbs: usize, io: usize) -> (usize, usize) {
-    ArchSpec::size_for(plbs, io)
-}
-
 /// Whether one stage of a [`compile_cached`] run was restored from the
 /// artifact store or recomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,41 +183,96 @@ impl CacheReport {
             (Stage::Bitgen.name(), self.bitgen),
         ]
     }
+
+    fn outcome_mut(&mut self, stage: Stage) -> &mut StageOutcome {
+        match stage {
+            Stage::Pack => &mut self.pack,
+            Stage::Place => &mut self.place,
+            Stage::Route => &mut self.route,
+            Stage::Bitgen => &mut self.bitgen,
+        }
+    }
 }
 
-/// The content-addressed cache context threaded through the flow: the
-/// store plus the digest of everything upstream of the first stage (the
-/// source text and style, hashed by the caller).
-struct CacheCtx<'a> {
-    store: &'a dyn ArtifactStore,
-    source_digest: u64,
+/// The per-stage cache step [`compile`] and [`compile_cached`] share.
+/// With a store, each stage is restored from its content-addressed key
+/// or computed and checkpointed; without one, it is only computed.
+struct StageCache<'a> {
+    store: Option<&'a dyn ArtifactStore>,
+    /// The key chain. It starts from the source digest; after each stage
+    /// it is re-seeded with that stage's input digest *and* the digest
+    /// of its artifact, so a hit at stage N implies the entire upstream
+    /// line matched.
+    chain: Fnv64,
+    report: CacheReport,
+    tracer: &'a Tracer,
 }
 
-impl CacheCtx<'_> {
-    /// Looks up and deserializes a stage artifact, returning it with
-    /// `fnv1a` of the JSON it was read from: the digest the next
-    /// stage's key chains, without re-serializing the artifact. Canonical
-    /// JSON round-trips exactly, so for every entry the flow writes this
+impl StageCache<'_> {
+    /// Runs one stage: `key_extras` feeds the options the stage reads
+    /// into its key, `restore` rebuilds the result from a hit, `compute`
+    /// produces it on a miss and `checkpoint` turns it into the artifact
+    /// to store. Emits the stage's `flow.cache` event, so the caller
+    /// runs it inside the stage span.
+    ///
+    /// The digest chained into the next key is `fnv1a` of the JSON just
+    /// read or stored, never a re-serialization. Canonical JSON
+    /// round-trips exactly, so for every entry the flow writes this
     /// equals [`Artifact::digest`]; a parseable but non-canonical entry
     /// only moves the downstream keys, turning those stages into misses.
-    ///
     /// A missing entry and a malformed/shape-mismatched one are the same
     /// thing — a miss — so a format change (or a corrupted store)
     /// degrades to recomputation, never to a compile error.
-    fn get<A: Artifact>(&self, key: &str) -> Option<(A, u64)> {
-        let json = self.store.get(key)?;
-        let artifact = A::from_json(&json).ok()?;
-        Some((artifact, fnv1a(json.as_bytes())))
+    fn run<A: Artifact, T>(
+        &mut self,
+        stage: Stage,
+        key_extras: impl FnOnce(&mut Fnv64),
+        restore: impl FnOnce(A) -> Result<T, FlowError>,
+        compute: impl FnOnce() -> Result<T, FlowError>,
+        checkpoint: impl FnOnce(&T) -> A,
+    ) -> Result<T, FlowError> {
+        let Some(store) = self.store else {
+            return compute();
+        };
+        key_extras(&mut self.chain);
+        let input = self.chain.finish();
+        let key = stage.key(input);
+        let restored = store
+            .get(&key)
+            .and_then(|json| Some((A::from_json(&json).ok()?, fnv1a(json.as_bytes()))));
+        let (value, digest, outcome) = if let Some((artifact, digest)) = restored {
+            (restore(artifact)?, digest, StageOutcome::Hit)
+        } else {
+            let value = compute()?;
+            let json = checkpoint(&value).to_json();
+            let digest = fnv1a(json.as_bytes());
+            store.put(&key, json);
+            (value, digest, StageOutcome::Miss)
+        };
+        self.chain = Fnv64::new();
+        self.chain.write_u64(input);
+        self.chain.write_u64(digest);
+        *self.report.outcome_mut(stage) = outcome;
+        self.tracer.event("flow.cache", || {
+            vec![
+                ("stage", stage.name().into()),
+                ("outcome", outcome.name().into()),
+            ]
+        });
+        Ok(value)
     }
+}
 
-    /// Stores `artifact` under `key` and returns `fnv1a` of the stored
-    /// JSON — its [`Artifact::digest`], from the one encode.
-    fn put<A: Artifact>(&self, key: &str, artifact: &A) -> u64 {
-        let json = artifact.to_json();
-        let digest = fnv1a(json.as_bytes());
-        self.store.put(key, json);
-        digest
-    }
+/// The route stage's result: the routing-resource graph and binding at
+/// the channel width routing converged at, the routed trees, and their
+/// timing.
+struct Routed {
+    channel_width: usize,
+    rrg: Rrg,
+    binding: Binding,
+    result: RoutingResult,
+    timing: TimingReport,
+    summary: TimingSummary,
 }
 
 /// Compiles `netlist` onto the architecture family of
@@ -234,7 +284,7 @@ impl CacheCtx<'_> {
 /// channel-width doublings before giving up (unless the width is
 /// pinned).
 pub fn compile(netlist: &Netlist, opts: &FlowOptions) -> Result<CompiledDesign, FlowError> {
-    compile_inner(netlist, opts, None).map(|(compiled, _)| compiled)
+    compile_inner(netlist, opts, None, 0).map(|(compiled, _)| compiled)
 }
 
 /// [`compile`] with content-addressed per-stage caching.
@@ -266,69 +316,43 @@ pub fn compile_cached(
     store: &dyn ArtifactStore,
     source_digest: u64,
 ) -> Result<(CompiledDesign, CacheReport), FlowError> {
-    compile_inner(
-        netlist,
-        opts,
-        Some(CacheCtx {
-            store,
-            source_digest,
-        }),
-    )
+    compile_inner(netlist, opts, Some(store), source_digest)
 }
 
 #[allow(clippy::too_many_lines)]
 fn compile_inner(
     netlist: &Netlist,
     opts: &FlowOptions,
-    cache: Option<CacheCtx<'_>>,
+    store: Option<&dyn ArtifactStore>,
+    source_digest: u64,
 ) -> Result<(CompiledDesign, CacheReport), FlowError> {
     let tracer = &opts.tracer;
-    let mut outcomes = CacheReport::ALL_MISS;
-
-    // Stage key chain. Each stage's input digest folds in the previous
-    // stage's input digest *and* artifact digest, so a hit at stage N
-    // implies the entire upstream line matched.
-    let pack_input = cache.as_ref().map(|ctx| {
-        let mut h = Fnv64::new();
-        h.write_u64(ctx.source_digest);
-        h.write_str(&format!("{:?}", opts.arch));
-        h.finish()
-    });
+    let mut chain = Fnv64::new();
+    chain.write_u64(source_digest);
+    let mut cache = StageCache {
+        store,
+        chain,
+        report: CacheReport::ALL_MISS,
+        tracer,
+    };
 
     let stage = std::time::Instant::now();
     let pack_span = tracer.span("flow.pack");
     let mapped = map(netlist, &opts.arch).map_err(FlowError::Map)?;
-    let pack_key = pack_input.map(|d| Stage::Pack.key(d));
-    let mut pack_digest = None;
-    let packed = match (&cache, &pack_key) {
-        (Some(ctx), Some(key)) => {
-            if let Some((art, digest)) = ctx.get::<PackArtifact>(key) {
-                outcomes.pack = StageOutcome::Hit;
-                pack_digest = Some(digest);
-                checkpoint::restore_pack(&art)
-            } else {
-                let packed = pack(&mapped, &opts.arch).map_err(FlowError::Pack)?;
-                pack_digest = Some(ctx.put(key, &checkpoint::checkpoint_pack(&packed)));
-                packed
-            }
-        }
-        _ => pack(&mapped, &opts.arch).map_err(FlowError::Pack)?,
-    };
-    if cache.is_some() {
-        tracer.event("flow.cache", || {
-            vec![
-                ("stage", "pack".into()),
-                ("outcome", outcomes.pack.name().into()),
-            ]
-        });
-    }
+    let packed = cache.run(
+        Stage::Pack,
+        |key| key.write_str(&format!("{:?}", opts.arch)),
+        |art: PackArtifact| Ok(checkpoint::restore_pack(&art)),
+        || pack(&mapped, &opts.arch).map_err(FlowError::Pack),
+        checkpoint::checkpoint_pack,
+    )?;
     drop(pack_span);
     let pack_ms = stage.elapsed().as_secs_f64() * 1e3;
 
     let io = mapped.io_signals().len();
     let (w, h) = opts
         .grid
-        .unwrap_or_else(|| size_grid(packed.plb_count(), io));
+        .unwrap_or_else(|| ArchSpec::size_for(packed.plb_count(), io));
 
     let mut arch = opts.arch.clone();
     arch.width = w;
@@ -338,73 +362,36 @@ fn compile_inner(
     }
     arch.name = format!("{}-{w}x{h}", opts.arch.name);
 
-    let place_input = match (pack_input, pack_digest) {
-        (Some(pi), Some(digest)) => {
-            let mut hasher = Fnv64::new();
-            hasher.write_u64(pi);
-            hasher.write_u64(digest);
-            hasher.write_u64(opts.seed);
-            hasher.write_u64(w as u64);
-            hasher.write_u64(h as u64);
-            Some(hasher.finish())
-        }
-        _ => None,
-    };
-
     let stage = std::time::Instant::now();
     let place_span = tracer.span("flow.place");
-    let place_key = place_input.map(|d| Stage::Place.key(d));
-    let mut place_digest = None;
-    let placement = match (&cache, &place_key) {
-        (Some(ctx), Some(key)) => {
-            if let Some((art, digest)) = ctx.get::<msaf_artifact::PlaceArtifact>(key) {
-                outcomes.place = StageOutcome::Hit;
-                place_digest = Some(digest);
-                checkpoint::restore_place(&art)
-            } else {
-                let placement = place_traced(
-                    &mapped,
-                    &packed,
-                    &arch,
-                    &PlaceOptions::seeded(opts.seed),
-                    tracer,
-                )
-                .map_err(FlowError::Place)?;
-                place_digest = Some(ctx.put(key, &checkpoint::checkpoint_place(&placement)));
-                placement
-            }
-        }
-        _ => place_traced(
-            &mapped,
-            &packed,
-            &arch,
-            &PlaceOptions::seeded(opts.seed),
-            tracer,
-        )
-        .map_err(FlowError::Place)?,
-    };
-    if cache.is_some() {
-        tracer.event("flow.cache", || {
-            vec![
-                ("stage", "place".into()),
-                ("outcome", outcomes.place.name().into()),
-            ]
-        });
-    }
+    let placement = cache.run(
+        Stage::Place,
+        |key| {
+            key.write_u64(opts.seed);
+            key.write_u64(w as u64);
+            key.write_u64(h as u64);
+        },
+        |art: PlaceArtifact| Ok(checkpoint::restore_place(&art)),
+        || {
+            place_traced(
+                &mapped,
+                &packed,
+                &arch,
+                &PlaceOptions::seeded(opts.seed),
+                tracer,
+            )
+            .map_err(FlowError::Place)
+        },
+        checkpoint::checkpoint_place,
+    )?;
     drop(place_span);
     let place_ms = stage.elapsed().as_secs_f64() * 1e3;
 
-    // Route, widening channels on congestion failure. The flow always
-    // routes through the timing context: with the default
-    // `timing_fac = 0.0` the routing result is bit-identical to the
-    // untimed router and the context only measures (post-route critical
-    // delay, slacks); raising `FlowOptions::route.timing_fac` makes the
-    // criticalities steer the search.
-    let route_input = match (place_input, place_digest) {
-        (Some(pi), Some(digest)) => {
-            let mut hasher = Fnv64::new();
-            hasher.write_u64(pi);
-            hasher.write_u64(digest);
+    let stage = std::time::Instant::now();
+    let route_span = tracer.span("flow.route");
+    let route = cache.run(
+        Stage::Route,
+        |key| {
             // Thread count is excluded from the key: routing results
             // are byte-identical at any thread count (the determinism
             // contract pinned by tests/trace_determinism.rs), so it
@@ -413,146 +400,51 @@ fn compile_inner(
             // negotiation statistics — feeds in.
             let mut keyed = opts.route;
             keyed.threads = 1;
-            hasher.write_str(&format!("{keyed:?}"));
-            hasher.write_str(&format!("{:?}", opts.channel_width));
-            Some(hasher.finish())
-        }
-        _ => None,
-    };
-    let route_key = route_input.map(|d| Stage::Route.key(d));
-
-    let stage = std::time::Instant::now();
-    let route_span = tracer.span("flow.route");
-    let restored = match (&cache, &route_key) {
-        (Some(ctx), Some(key)) => ctx.get::<msaf_artifact::RouteArtifact>(key),
-        _ => None,
-    };
-    let (rrg, binding, routed, timing, timing_summary, route_digest) = if let Some((art, digest)) =
-        restored
-    {
-        // Restored: jump straight to the channel width the widening
-        // loop converged at — the retries are part of what the
-        // checkpoint remembers. Binding is recomputed (it is cheap and
-        // pins the restored trees to real routing-resource nodes).
-        outcomes.route = StageOutcome::Hit;
-        arch.channel_width = art.channel_width;
-        let rrg = Rrg::build(&arch);
-        let binding = bind(&mapped, &packed, &placement, &arch, &rrg).map_err(FlowError::Bitgen)?;
-        let routed = checkpoint::restore_route(&art);
-        let timing = checkpoint::restore_timing_report(&art);
-        let summary = checkpoint::restore_timing_summary(&art);
-        (rrg, binding, routed, timing, summary, Some(digest))
-    } else {
-        let total_attempts = if opts.channel_width.is_some() { 1 } else { 4 };
-        let mut attempts = total_attempts;
-        // The timing graph depends only on the mapped design — build it
-        // once and clone per widening retry.
-        let graph = TimingGraph::build(&mapped);
-        let (rrg, binding, routed, timing, summary) = loop {
+            key.write_str(&format!("{keyed:?}"));
+            key.write_str(&format!("{:?}", opts.channel_width));
+        },
+        |art: RouteArtifact| {
+            // Restored: jump straight to the channel width the widening
+            // loop converged at — the retries are part of what the
+            // checkpoint remembers. Binding is recomputed (it is cheap
+            // and pins the restored trees to real routing-resource
+            // nodes).
+            let arch = ArchSpec {
+                channel_width: art.channel_width,
+                ..arch.clone()
+            };
             let rrg = Rrg::build(&arch);
             let binding =
                 bind(&mapped, &packed, &placement, &arch, &rrg).map_err(FlowError::Bitgen)?;
-            let mut ctx = RouteTimingCtx::with_graph(
-                graph.clone(),
-                &mapped,
-                &binding.requests,
-                &binding.request_signals,
-            );
-            ctx.set_tracer(tracer.clone());
-            match route_traced(&rrg, &binding.requests, &opts.route, Some(&mut ctx), tracer) {
-                Ok(routed) => {
-                    let timing = ctx.pre_route_report().clone();
-                    let summary = ctx.summary();
-                    break (rrg, binding, routed, timing, summary);
-                }
-                Err(e) => {
-                    attempts -= 1;
-                    if attempts == 0 {
-                        // Pinned width: the caller asked for exactly this
-                        // width, report the router error directly. Adaptive
-                        // width: every widening failed — name the envelope.
-                        if total_attempts == 1 {
-                            return Err(FlowError::Route(e));
-                        }
-                        return Err(FlowError::RouteExhausted {
-                            attempts: total_attempts,
-                            final_channel_width: arch.channel_width,
-                            last: e,
-                        });
-                    }
-                    arch.channel_width *= 2;
-                    tracer.event("flow.widen_channel", || {
-                        vec![
-                            ("new_channel_width", arch.channel_width.into()),
-                            ("attempts_left", attempts.into()),
-                            (
-                                "reason",
-                                "routing congestion: unresolved overuse at this width".into(),
-                            ),
-                        ]
-                    });
-                }
-            }
-        };
-        let route_digest = match (&cache, &route_key) {
-            (Some(ctx), Some(key)) => Some(ctx.put(
-                key,
-                &checkpoint::checkpoint_route(&routed, arch.channel_width, &timing, &summary),
-            )),
-            _ => None,
-        };
-        (rrg, binding, routed, timing, summary, route_digest)
-    };
-    if cache.is_some() {
-        tracer.event("flow.cache", || {
-            vec![
-                ("stage", "route".into()),
-                ("outcome", outcomes.route.name().into()),
-            ]
-        });
-    }
+            Ok(Routed {
+                channel_width: art.channel_width,
+                rrg,
+                binding,
+                result: checkpoint::restore_route(&art),
+                timing: checkpoint::restore_timing_report(&art),
+                summary: checkpoint::restore_timing_summary(&art),
+            })
+        },
+        || route_widening(&mapped, &packed, &placement, arch.clone(), opts),
+        |r| checkpoint::checkpoint_route(&r.result, r.channel_width, &r.timing, &r.summary),
+    )?;
     drop(route_span);
-
     let route_ms = stage.elapsed().as_secs_f64() * 1e3;
-
-    let bitgen_input = match (route_input, route_digest) {
-        (Some(ri), Some(digest)) => {
-            let mut hasher = Fnv64::new();
-            hasher.write_u64(ri);
-            hasher.write_u64(digest);
-            Some(hasher.finish())
-        }
-        _ => None,
-    };
-    let bitgen_key = bitgen_input.map(|d| Stage::Bitgen.key(d));
+    arch.channel_width = route.channel_width;
+    let routed = route.result;
 
     let bitgen_span = tracer.span("flow.bitgen");
-    let cached_config = match (&cache, &bitgen_key) {
-        (Some(ctx), Some(key)) => ctx.get::<BitstreamArtifact>(key).map(|(art, _)| art.config),
-        _ => None,
-    };
-    let config = if let Some(config) = cached_config {
-        outcomes.bitgen = StageOutcome::Hit;
-        config
-    } else {
-        let config = assemble(binding, routed.trees);
-        if let (Some(ctx), Some(key)) = (&cache, &bitgen_key) {
-            ctx.put(key, &checkpoint::checkpoint_bitstream(&config));
-        }
-        config
-    };
+    let config = cache.run(
+        Stage::Bitgen,
+        |_| {},
+        |art: BitstreamArtifact| Ok(art.config),
+        || Ok(assemble(route.binding, routed.trees)),
+        checkpoint::checkpoint_bitstream,
+    )?;
     // Always re-checked, restored or not: a poisoned or stale store
     // entry must surface as a structured error, never a bad fabric.
-    config.check(&rrg).map_err(FlowError::Check)?;
+    config.check(&route.rrg).map_err(FlowError::Check)?;
     let utilization = Utilization::of(&config);
-    if cache.is_some() {
-        tracer.event("flow.cache", || {
-            vec![
-                ("stage", "bitgen".into()),
-                ("outcome", outcomes.bitgen.name().into()),
-            ]
-        });
-    }
     drop(bitgen_span);
 
     // Effort observables as a typed counter map. Sourced exclusively
@@ -573,9 +465,9 @@ fn compile_inner(
     metrics.set("route.wirelength", config.total_wirelength() as u64);
     metrics.set(
         "timing.critical_delay",
-        timing_summary.post_route_critical_delay,
+        route.summary.post_route_critical_delay,
     );
-    metrics.set("timing.worst_slack", timing_summary.worst_slack);
+    metrics.set("timing.worst_slack", route.summary.worst_slack);
 
     let report = FlowReport {
         design: netlist.name().to_string(),
@@ -605,8 +497,8 @@ fn compile_inner(
         place_ms,
         route_ms,
         utilization,
-        timing,
-        timing_summary,
+        timing: route.timing,
+        timing_summary: route.summary,
         metrics,
     };
 
@@ -619,8 +511,83 @@ fn compile_inner(
             config,
             report,
         },
-        outcomes,
+        cache.report,
     ))
+}
+
+/// Routes at `arch`'s channel width, doubling it on congestion failure
+/// up to three times unless [`FlowOptions::channel_width`] pins it.
+///
+/// Routing always goes through the timing context: with the default
+/// `timing_fac = 0.0` the result is bit-identical to the untimed router
+/// and the context only measures (post-route critical delay, slacks);
+/// raising `FlowOptions::route.timing_fac` makes the criticalities
+/// steer the search.
+fn route_widening(
+    mapped: &MappedDesign,
+    packed: &PackedDesign,
+    placement: &Placement,
+    mut arch: ArchSpec,
+    opts: &FlowOptions,
+) -> Result<Routed, FlowError> {
+    let tracer = &opts.tracer;
+    let total_attempts = if opts.channel_width.is_some() { 1 } else { 4 };
+    let mut attempts = total_attempts;
+    // The timing graph depends only on the mapped design — build it
+    // once and clone per widening retry.
+    let graph = TimingGraph::build(mapped);
+    loop {
+        let rrg = Rrg::build(&arch);
+        let binding = bind(mapped, packed, placement, &arch, &rrg).map_err(FlowError::Bitgen)?;
+        let mut ctx = RouteTimingCtx::with_graph(
+            graph.clone(),
+            mapped,
+            &binding.requests,
+            &binding.request_signals,
+        );
+        ctx.set_tracer(tracer.clone());
+        match route_traced(&rrg, &binding.requests, &opts.route, Some(&mut ctx), tracer) {
+            Ok(result) => {
+                let timing = ctx.pre_route_report().clone();
+                let summary = ctx.summary();
+                return Ok(Routed {
+                    channel_width: arch.channel_width,
+                    rrg,
+                    binding,
+                    result,
+                    timing,
+                    summary,
+                });
+            }
+            Err(e) => {
+                attempts -= 1;
+                if attempts == 0 {
+                    // Pinned width: the caller asked for exactly this
+                    // width, report the router error directly. Adaptive
+                    // width: every widening failed — name the envelope.
+                    if total_attempts == 1 {
+                        return Err(FlowError::Route(e));
+                    }
+                    return Err(FlowError::RouteExhausted {
+                        attempts: total_attempts,
+                        final_channel_width: arch.channel_width,
+                        last: e,
+                    });
+                }
+                arch.channel_width *= 2;
+                tracer.event("flow.widen_channel", || {
+                    vec![
+                        ("new_channel_width", arch.channel_width.into()),
+                        ("attempts_left", attempts.into()),
+                        (
+                            "reason",
+                            "routing congestion: unresolved overuse at this width".into(),
+                        ),
+                    ]
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -815,6 +782,52 @@ mod tests {
     }
 
     #[test]
+    fn cache_events_sit_inside_their_stage_spans() {
+        use msaf_artifact::MemStore;
+        use msaf_trace::{Phase, Value};
+
+        let netlist = qdi_full_adder();
+        let (tracer, recorder) = Tracer::recorder();
+        let opts = FlowOptions {
+            tracer,
+            ..FlowOptions::default()
+        };
+        compile(&netlist, &opts).unwrap();
+        assert!(recorder.events().iter().all(|e| e.name != "flow.cache"));
+
+        // A cold run misses every stage, a warm one hits every stage.
+        let store = MemStore::new();
+        for warm in [false, true] {
+            let (tracer, recorder) = Tracer::recorder();
+            let opts = FlowOptions {
+                tracer,
+                ..FlowOptions::default()
+            };
+            let (_, report) = compile_cached(&netlist, &opts, &store, 11).unwrap();
+            assert_eq!(report.all_hits(), warm, "{report:?}");
+            let events = recorder.events();
+            let cache: Vec<usize> = (0..events.len())
+                .filter(|&i| events[i].name == "flow.cache")
+                .collect();
+            assert_eq!(cache.len(), 4, "one flow.cache event per stage");
+            for (&i, (stage, outcome)) in cache.iter().zip(report.stages()) {
+                let args = &events[i].args;
+                assert_eq!(args[0], ("stage", Value::Str(stage.into())));
+                assert_eq!(args[1], ("outcome", Value::Str(outcome.name().into())));
+                let span = format!("flow.{stage}");
+                let is = |e: &msaf_trace::TraceEvent, phase| e.name == span && e.phase == phase;
+                let begin = events[..i].iter().rposition(|e| is(e, Phase::Begin));
+                let end = events[i..].iter().position(|e| is(e, Phase::End));
+                assert!(
+                    begin.is_some_and(|b| !events[b..i].iter().any(|e| is(e, Phase::End)))
+                        && end.is_some(),
+                    "{stage}'s flow.cache event lies outside its {span} span"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn cache_keys_isolate_seed_and_source() {
         use msaf_artifact::MemStore;
 
@@ -925,11 +938,11 @@ mod tests {
 
     #[test]
     fn grid_sizing_policy() {
-        assert_eq!(size_grid(1, 4), (1, 1));
-        assert_eq!(size_grid(4, 8), (2, 2));
-        assert_eq!(size_grid(5, 8), (3, 3));
+        assert_eq!(ArchSpec::size_for(1, 4), (1, 1));
+        assert_eq!(ArchSpec::size_for(4, 8), (2, 2));
+        assert_eq!(ArchSpec::size_for(5, 8), (3, 3));
         // I/O-bound growth.
-        let (w, h) = size_grid(1, 40);
+        let (w, h) = ArchSpec::size_for(1, 40);
         assert!(2 * (w + h) >= 40);
     }
 }

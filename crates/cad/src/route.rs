@@ -642,16 +642,6 @@ fn route_impl(
     mut timing: Option<&mut dyn TimingSource>,
     tracer: &Tracer,
 ) -> Result<RoutingResult, RouteError> {
-    // `MSAF_CONFLICT_DEBUG` shortcut: the historical stderr diagnostics
-    // are ordinary trace events now; the env var just installs a stderr
-    // sink when the caller didn't attach one of their own.
-    let stderr_tracer;
-    let tracer = if !tracer.enabled() && std::env::var_os("MSAF_CONFLICT_DEBUG").is_some() {
-        stderr_tracer = Tracer::stderr();
-        &stderr_tracer
-    } else {
-        tracer
-    };
     let n = rrg.len();
     let threads = opts.threads.max(1);
     let chunk_size = opts.chunk.max(1);
@@ -801,8 +791,6 @@ fn route_impl(
             }
             let graph = ConflictGraph::from_members(reroute.len(), &members);
             let coloring = graph.greedy_color();
-            // The former MSAF_CONFLICT_DEBUG eprintln, as a structured
-            // event (the env var now installs a stderr sink up top).
             tracer.event("route.conflict_coloring", || {
                 let mut sizes: Vec<usize> = coloring.classes().iter().map(Vec::len).collect();
                 sizes.sort_unstable_by(|a, b| b.cmp(a));

@@ -2,7 +2,9 @@
 //!
 //! Every node keeps the [`Span`] of the source text it came from so the
 //! semantic checks in [`crate::check`] can report precise locations.
-//! The span-free, order-canonical form lives in [`crate::ir`].
+//! The span-free, order-canonical form with the pretty-printer is
+//! [`crate::hir`]: a flat pipeline converts to a module-free
+//! [`crate::hir::Program`].
 
 use crate::diag::Span;
 

@@ -4,15 +4,16 @@
 //! is the same shape with the spans erased, giving canonical values with
 //! structural equality and a printer whose output parses back to the
 //! identical IR (`hir(parse(print(h))) == h` — pinned by the grammar
-//! property tests). The flat, non-hierarchical analogue is
-//! [`crate::ir`].
+//! property tests). It is the only span-free IR: a flat
+//! [`ast::Pipeline`] converts to a [`Program`] with no modules, params,
+//! loops or `#` holes, whose printed form is the flat source.
 //!
 //! Canonical print rules: constant `Bin` expressions are fully
 //! parenthesized, slices always print the explicit `[lo..hi]` form,
 //! interpolation holes print as `#<int>`, `#<name>` or `#(<cexpr>)`,
 //! and empty instantiation param lists omit the `<>`.
 
-use crate::ast::{OpKind, PortDir};
+use crate::ast::{self, OpKind, PortDir};
 use crate::hast;
 pub use crate::hast::CBinOp;
 use std::fmt;
@@ -286,6 +287,73 @@ impl From<&hast::Program> for Program {
                     .collect(),
                 ports: prog.pipeline.ports.iter().map(Port::from).collect(),
                 items: prog.pipeline.items.iter().map(StageItem::from).collect(),
+            },
+        }
+    }
+}
+
+impl IName {
+    fn plain(base: &str) -> Self {
+        IName {
+            base: base.to_string(),
+            holes: Vec::new(),
+        }
+    }
+}
+
+impl CExpr {
+    fn int(v: usize) -> Self {
+        // Every width and bound `expand` produces came from an `i64`.
+        CExpr::Int(i64::try_from(v).expect("flat widths and bounds fit in i64"))
+    }
+}
+
+impl From<&ast::Expr> for Expr {
+    fn from(e: &ast::Expr) -> Self {
+        match e {
+            ast::Expr::Ref { name, .. } => Expr::Ref(IName::plain(name)),
+            ast::Expr::Slice { name, lo, hi, .. } => {
+                Expr::Slice(IName::plain(name), CExpr::int(*lo), CExpr::int(*hi))
+            }
+            ast::Expr::Op { op, args, .. } => Expr::Op(*op, args.iter().map(Expr::from).collect()),
+        }
+    }
+}
+
+/// A flat pipeline as a program with no modules, params, loops or `#`
+/// holes; widths and slice bounds become [`CExpr::Int`].
+impl From<&ast::Pipeline> for Program {
+    fn from(p: &ast::Pipeline) -> Self {
+        let stmt = |st: &ast::Stmt| match st {
+            ast::Stmt::Let { name, expr, .. } => Stmt::Let(IName::plain(name), Expr::from(expr)),
+            ast::Stmt::Assign { target, expr, .. } => {
+                Stmt::Assign(target.clone(), Expr::from(expr))
+            }
+        };
+        Program {
+            modules: Vec::new(),
+            pipeline: Pipeline {
+                name: p.name.clone(),
+                params: Vec::new(),
+                ports: p
+                    .ports
+                    .iter()
+                    .map(|port| Port {
+                        name: port.name.clone(),
+                        dir: port.dir,
+                        width: CExpr::int(port.width),
+                    })
+                    .collect(),
+                items: p
+                    .stages
+                    .iter()
+                    .map(|s| {
+                        StageItem::Stage(Stage {
+                            name: s.name.clone(),
+                            stmts: s.stmts.iter().map(stmt).collect(),
+                        })
+                    })
+                    .collect(),
             },
         }
     }

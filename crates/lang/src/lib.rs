@@ -62,7 +62,6 @@ pub mod elab;
 pub mod expand;
 pub mod hast;
 pub mod hir;
-pub mod ir;
 pub mod lexer;
 pub mod parser;
 pub mod token;

@@ -1,10 +1,11 @@
 //! Property tests for the `.msa` grammar.
 //!
-//! 1. **Round-trip (flat)**: a randomly generated flat IR,
-//!    pretty-printed and re-parsed, yields the identical IR — the
-//!    printer and parser are exact inverses over the whole syntactic
-//!    domain (including semantically meaningless programs; widths are
-//!    `check`'s job).
+//! 1. **Round-trip (flat)**: a randomly generated flat program (no
+//!    modules, params, loops or `#` holes), pretty-printed, re-parsed
+//!    and expanded, yields the identical IR — the printer and parser
+//!    are exact inverses over the whole syntactic domain (including
+//!    semantically meaningless programs; widths are `check`'s job), and
+//!    flat sources pass through `expand` unchanged.
 //! 2. **Round-trip (hierarchical)**: the same property for the
 //!    hierarchical IR — modules, params, generate-loops, instantiation
 //!    and `#`-interpolated names survive print → parse unchanged.
@@ -13,7 +14,6 @@
 //!    hierarchical programs — every failure is a spanned diagnostic.
 
 use msaf_lang::ast::PortDir;
-use msaf_lang::ir::{Expr, Pipeline, Port, Stage, Stmt};
 use msaf_lang::{analyze, expand, hir, parse, OpKind};
 use proptest::prelude::*;
 
@@ -34,14 +34,25 @@ fn gen_name(rng: &mut TestRng) -> String {
     NAMES[rng.below(NAMES.len() as u64) as usize].to_string()
 }
 
-fn gen_expr(rng: &mut TestRng, depth: u32) -> Expr {
+fn plain(base: String) -> hir::IName {
+    hir::IName {
+        base,
+        holes: Vec::new(),
+    }
+}
+
+fn gen_expr(rng: &mut TestRng, depth: u32) -> hir::Expr {
     let choices = if depth == 0 { 2 } else { 5 };
     match rng.below(choices) {
-        0 => Expr::Ref(gen_name(rng)),
+        0 => hir::Expr::Ref(plain(gen_name(rng))),
         1 => {
-            let lo = rng.below(8) as usize;
-            let len = 1 + rng.below(8) as usize;
-            Expr::Slice(gen_name(rng), lo, lo + len)
+            let lo = rng.below(8) as i64;
+            let len = 1 + rng.below(8) as i64;
+            hir::Expr::Slice(
+                plain(gen_name(rng)),
+                hir::CExpr::Int(lo),
+                hir::CExpr::Int(lo + len),
+            )
         }
         _ => {
             let op = OPS[rng.below(OPS.len() as u64) as usize];
@@ -51,43 +62,49 @@ fn gen_expr(rng: &mut TestRng, depth: u32) -> Expr {
                 _ => min,
             };
             let args = (0..n).map(|_| gen_expr(rng, depth - 1)).collect();
-            Expr::Op(op, args)
+            hir::Expr::Op(op, args)
         }
     }
 }
 
-fn gen_pipeline(seed: u64) -> Pipeline {
+fn gen_pipeline(seed: u64) -> hir::Program {
     let mut rng = TestRng::new(seed);
     let ports = (0..rng.below(4))
-        .map(|i| Port {
+        .map(|i| hir::Port {
             name: format!("p{i}"),
             dir: if rng.below(2) == 0 {
                 PortDir::Input
             } else {
                 PortDir::Output
             },
-            width: 1 + rng.below(31) as usize,
+            width: hir::CExpr::Int(1 + rng.below(31) as i64),
         })
         .collect();
-    let stages = (0..1 + rng.below(3))
-        .map(|k| Stage {
-            name: format!("s{k}"),
-            stmts: (0..rng.below(4))
-                .map(|i| {
-                    let expr = gen_expr(&mut rng, 3);
-                    if rng.below(2) == 0 {
-                        Stmt::Let(format!("v{k}_{i}"), expr)
-                    } else {
-                        Stmt::Assign(gen_name(&mut rng), expr)
-                    }
-                })
-                .collect(),
+    let items = (0..1 + rng.below(3))
+        .map(|k| {
+            hir::StageItem::Stage(hir::Stage {
+                name: format!("s{k}"),
+                stmts: (0..rng.below(4))
+                    .map(|i| {
+                        let expr = gen_expr(&mut rng, 3);
+                        if rng.below(2) == 0 {
+                            hir::Stmt::Let(plain(format!("v{k}_{i}")), expr)
+                        } else {
+                            hir::Stmt::Assign(gen_name(&mut rng), expr)
+                        }
+                    })
+                    .collect(),
+            })
         })
         .collect();
-    Pipeline {
-        name: format!("gen{}", seed % 1000),
-        ports,
-        stages,
+    hir::Program {
+        modules: Vec::new(),
+        pipeline: hir::Pipeline {
+            name: format!("gen{}", seed % 1000),
+            params: Vec::new(),
+            ports,
+            items,
+        },
     }
 }
 
@@ -245,7 +262,7 @@ proptest! {
         // Flat sources pass through expansion unchanged.
         let flat = expand(&reparsed.unwrap());
         prop_assert!(flat.is_ok(), "flat source failed to expand: {:?}\n{printed}", flat.err());
-        let back = Pipeline::from(&flat.unwrap());
+        let back = hir::Program::from(&flat.unwrap());
         prop_assert_eq!(&back, &ir, "round-trip changed the IR; printed form:\n{}", printed);
     }
 

@@ -10,6 +10,7 @@
 //! Out of scope, rejected structurally rather than half-supported:
 //! chunked request bodies, keep-alive pipelining, HTTP/2, TLS.
 
+use msaf_trace::json::JsonWriter;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -179,8 +180,9 @@ pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
         HttpError::BadRequest(_) => (400, "Bad Request"),
         HttpError::TooLarge => (413, "Payload Too Large"),
     };
-    let body = format!("{{\"error\":\"{err}\"}}");
-    let _ = write_response(stream, status, reason, "application/json", &body);
+    let mut body = JsonWriter::object();
+    body.field_str("error", &err.to_string());
+    let _ = write_response(stream, status, reason, "application/json", &body.finish());
 }
 
 /// Writes the head of a close-delimited NDJSON streaming response: no
@@ -245,6 +247,30 @@ mod tests {
             roundtrip(b"GET /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::BadRequest(_))
         ));
+    }
+
+    #[test]
+    fn error_body_is_json_naming_the_bad_header() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /x HTTP/1.1\r\nbad\"header\r\n\r\n")
+                .unwrap();
+            let mut response = String::new();
+            s.read_to_string(&mut response).unwrap();
+            response
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let err = read_request(&mut stream).unwrap_err();
+        write_error(&mut stream, &err);
+        drop(stream);
+        let response = client.join().unwrap();
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 400 "), "{head}");
+        let doc = msaf_trace::json::parse(body).expect("the error body is valid JSON");
+        let error = doc.get("error").and_then(|e| e.as_str()).unwrap();
+        assert!(error.contains("bad\"header"), "{error}");
     }
 
     #[test]

@@ -15,13 +15,11 @@
 //! is installed or not; the only thing a sink can change is what gets
 //! written *about* the run.
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate:
 //!
 //! * the no-op default (no sink at all);
 //! * [`Recorder`] — an in-memory buffer, the substrate for the
-//!   Chrome-trace export and for tests that assert over emitted events;
-//! * [`StderrSink`] — one line per event, the structured replacement
-//!   for the router's historical `MSAF_CONFLICT_DEBUG` eprintln dump.
+//!   Chrome-trace export and for tests that assert over emitted events.
 //!
 //! [`chrome::render`] turns a recorded buffer into Chrome trace-event
 //! JSON that Perfetto (<https://ui.perfetto.dev>) loads directly; the
@@ -166,26 +164,6 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, Value)>,
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let marker = match self.phase {
-            Phase::Begin => "B",
-            Phase::End => "E",
-            Phase::Instant => "i",
-            Phase::Counter => "C",
-        };
-        write!(
-            f,
-            "[{:>9}us t{}] {} {}",
-            self.ts_us, self.tid, marker, self.name
-        )?;
-        for (k, v) in &self.args {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
-    }
-}
-
 /// Where recorded events go. Implementations must be thread-safe: the
 /// router emits span events from scoped worker threads concurrently
 /// with the coordinator.
@@ -252,13 +230,6 @@ impl Tracer {
     pub fn recorder() -> (Self, Arc<Recorder>) {
         let rec = Arc::new(Recorder::default());
         (Self::with_sink(rec.clone()), rec)
-    }
-
-    /// A tracer printing every event to stderr — the structured
-    /// successor of the router's `MSAF_CONFLICT_DEBUG` dump.
-    #[must_use]
-    pub fn stderr() -> Self {
-        Self::with_sink(Arc::new(StderrSink))
     }
 
     /// Whether a sink is installed. Instrumentation sites may use this
@@ -390,16 +361,6 @@ impl TraceSink for Recorder {
         if let Ok(mut events) = self.events.lock() {
             events.push(ev);
         }
-    }
-}
-
-/// One line per event on stderr. Diagnostic use only — ordering across
-/// threads is whatever the stderr lock serialized.
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn record(&self, ev: TraceEvent) {
-        eprintln!("[msaf-trace] {ev}");
     }
 }
 
