@@ -11,13 +11,13 @@
 use crate::pack::PackedDesign;
 use crate::place::Placement;
 use crate::route::RouteRequest;
-use crate::techmap::{MappedDesign, MappedFunc, Producer, SignalId};
+use crate::techmap::{MappedDesign, MappedFunc, Producer, SignalId, SignalUses};
 use msaf_fabric::arch::ArchSpec;
 use msaf_fabric::bitstream::{FabricConfig, PadAssignment, PadDir, RouteTree};
 use msaf_fabric::le::{LeConfig, LeOutput};
 use msaf_fabric::pde::PdeConfig;
 use msaf_fabric::plb::{ImSink, ImSource, PlbConfig};
-use msaf_fabric::rrg::{RrNodeKind, Rrg};
+use msaf_fabric::rrg::{NodeId, RrNodeKind, Rrg};
 use msaf_netlist::LutTable;
 use std::collections::HashMap;
 
@@ -39,6 +39,26 @@ pub enum BitgenError {
     PadPassthrough(String),
     /// Internal inconsistency (a bug): a signal had no producer.
     NoProducer(String),
+    /// A PLB needs more external input pins than the architecture has.
+    /// On IMs without feedback, LE outputs looped back through the
+    /// fabric take PLB inputs the packer does not budget for.
+    InputPinOverflow {
+        /// Index of the packed PLB.
+        plb: usize,
+        /// Input pins it needs.
+        needed: usize,
+        /// Input pins per PLB.
+        available: usize,
+    },
+    /// A PLB needs more external output pins than the architecture has.
+    OutputPinOverflow {
+        /// Index of the packed PLB.
+        plb: usize,
+        /// Output pins it needs.
+        needed: usize,
+        /// Output pins per PLB.
+        available: usize,
+    },
 }
 
 impl std::fmt::Display for BitgenError {
@@ -54,6 +74,22 @@ impl std::fmt::Display for BitgenError {
                 write!(f, "signal '{s}' is both primary input and output")
             }
             BitgenError::NoProducer(s) => write!(f, "signal '{s}' has no producer"),
+            BitgenError::InputPinOverflow {
+                plb,
+                needed,
+                available,
+            } => write!(
+                f,
+                "PLB {plb} needs {needed} input pins, the architecture has {available}"
+            ),
+            BitgenError::OutputPinOverflow {
+                plb,
+                needed,
+                available,
+            } => write!(
+                f,
+                "PLB {plb} needs {needed} output pins, the architecture has {available}"
+            ),
         }
     }
 }
@@ -105,6 +141,18 @@ pub fn bind(
         "placement mismatch"
     );
     let mut config = FabricConfig::empty(design.name.clone(), arch.clone());
+    let uses = SignalUses::build(design);
+    // The packed PLB hosting each LE and each PDE.
+    let mut plb_of_le = vec![None; design.les.len()];
+    let mut plb_of_pde = vec![None; design.pdes.len()];
+    for (bi, plb) in packed.plbs.iter().enumerate() {
+        for &li in &plb.les {
+            plb_of_le[li] = Some(bi);
+        }
+        if let Some(pi) = plb.pde {
+            plb_of_pde[pi] = Some(bi);
+        }
+    }
 
     // signal -> (plb index, local output pin) once bound.
     let mut opin_of: HashMap<SignalId, (usize, usize)> = HashMap::new();
@@ -141,7 +189,7 @@ pub fn bind(
         let fb_external = !arch.plb.im.allows_feedback;
         let mut ext_in = Vec::<SignalId>::new();
         for &li in &plb.les {
-            for s in design.les[li].input_signals() {
+            for &s in uses.inputs(li) {
                 let local_le_out = matches!(local.get(&s), Some(Local::Le(..)));
                 let external = !local.contains_key(&s) || (fb_external && local_le_out);
                 if external
@@ -162,6 +210,13 @@ pub fn bind(
             }
         }
         ext_in.sort();
+        if ext_in.len() > arch.plb.inputs {
+            return Err(BitgenError::InputPinOverflow {
+                plb: bi,
+                needed: ext_in.len(),
+                available: arch.plb.inputs,
+            });
+        }
         let ipin_map: HashMap<SignalId, usize> =
             ext_in.iter().enumerate().map(|(i, &s)| (s, i)).collect();
 
@@ -195,9 +250,12 @@ pub fn bind(
         // LEs.
         for (slot, &li) in plb.les.iter().enumerate() {
             let le = &design.les[li];
-            let ins = le.input_signals();
-            let pin_of: HashMap<SignalId, usize> =
-                ins.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+            let pin_of: HashMap<SignalId, usize> = uses
+                .inputs(li)
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (s, i))
+                .collect();
             let mut le_cfg = LeConfig::default();
             for f in &le.funcs {
                 match f.tap {
@@ -251,26 +309,33 @@ pub fn bind(
             cfg.im_connect(ImSink::PdeIn, resolve(pde.input)?);
         }
 
-        // Output pins: produced locally and needed elsewhere.
-        let mut out_sigs: Vec<SignalId> = local.keys().copied().collect();
+        // Output pins: produced locally and needed elsewhere — a primary
+        // output, a fabric round trip, or read by another PLB.
+        let elsewhere = |host: Option<usize>| host.is_some_and(|obi| obi != bi);
+        let mut out_sigs: Vec<SignalId> = local
+            .keys()
+            .copied()
+            .filter(|&s| {
+                uses.is_po(s)
+                    || ipin_map.contains_key(&s)
+                    || uses.consumers(s).iter().any(|&li| elsewhere(plb_of_le[li]))
+                    || uses
+                        .pde_consumers(s)
+                        .iter()
+                        .any(|&pi| elsewhere(plb_of_pde[pi]))
+            })
+            .collect();
         out_sigs.sort();
-        let mut opin = 0usize;
-        for s in out_sigs {
-            let needed_outside = design.pos.contains(&s)
-                || ipin_map.contains_key(&s) // fabric round-trip feedback
-                || packed.plbs.iter().enumerate().any(|(obi, op)| {
-                    obi != bi
-                        && (op
-                            .les
-                            .iter()
-                            .any(|&oli| design.les[oli].input_signals().contains(&s))
-                            || op.pde.is_some_and(|opi| design.pdes[opi].input == s))
-                });
-            if needed_outside {
-                cfg.im_connect(ImSink::PlbOut(opin), resolve(s)?);
-                opin_of.insert(s, (bi, opin));
-                opin += 1;
-            }
+        if out_sigs.len() > arch.plb.outputs {
+            return Err(BitgenError::OutputPinOverflow {
+                plb: bi,
+                needed: out_sigs.len(),
+                available: arch.plb.outputs,
+            });
+        }
+        for (opin, s) in out_sigs.into_iter().enumerate() {
+            cfg.im_connect(ImSink::PlbOut(opin), resolve(s)?);
+            opin_of.insert(s, (bi, opin));
         }
 
         config.plbs[y * arch.width + x] = cfg;
@@ -280,8 +345,7 @@ pub fn bind(
     // Pass B: pads.
     for (&s, &pad) in &placement.pad_of_signal {
         let is_pi = matches!(design.producers[s.index()], Producer::Pi);
-        let is_po = design.pos.contains(&s);
-        if is_pi && is_po {
+        if is_pi && uses.is_po(s) {
             return Err(BitgenError::PadPassthrough(
                 design.signal_name(s).to_string(),
             ));
@@ -294,25 +358,25 @@ pub fn bind(
     }
     config.pads.sort_by_key(|p| p.pad);
 
-    // Pass C: route requests.
+    // Pass C: route requests, one per routed signal in signal order. Each
+    // signal's Ipin sinks are gathered in one sweep over the PLBs, so
+    // they come in PLB order.
+    let mut ipin_sinks: Vec<Vec<NodeId>> = vec![Vec::new(); design.signal_names.len()];
+    for (bi, map) in ipin_maps.iter().enumerate() {
+        let (x, y) = placement.plb_pos[bi];
+        for (&s, &pin) in map {
+            ipin_sinks[s.index()].push(rrg.node(RrNodeKind::Ipin { x, y, pin }).expect("ipin"));
+        }
+    }
     let mut requests = Vec::new();
     let mut request_signals = Vec::new();
-    let mut routed_signals: Vec<SignalId> = Vec::new();
-    for (bi, _) in packed.plbs.iter().enumerate() {
-        for &s in ipin_maps[bi].keys() {
-            if !routed_signals.contains(&s) {
-                routed_signals.push(s);
-            }
+    for (si, ipins) in ipin_sinks.into_iter().enumerate() {
+        let s = SignalId::from_index(si);
+        let is_po = uses.is_po(s);
+        if ipins.is_empty() && !is_po {
+            continue;
         }
-    }
-    for &po in &design.pos {
-        if !routed_signals.contains(&po) {
-            routed_signals.push(po);
-        }
-    }
-    routed_signals.sort();
-    for s in routed_signals {
-        let source = match design.producers[s.index()] {
+        let source = match design.producers[si] {
             Producer::Pi => {
                 let pad = placement.pad_of_signal[&s];
                 rrg.node(RrNodeKind::Pad { id: pad }).expect("pad exists")
@@ -327,19 +391,10 @@ pub fn bind(
             }
             Producer::Const(_) => continue, // constants materialise inside PLBs
         };
-        let mut sinks = Vec::new();
-        for (bi, map) in ipin_maps.iter().enumerate() {
-            if let Some(&pin) = map.get(&s) {
-                let (x, y) = placement.plb_pos[bi];
-                sinks.push(rrg.node(RrNodeKind::Ipin { x, y, pin }).expect("ipin"));
-            }
-        }
-        if design.pos.contains(&s) {
+        let mut sinks = ipins;
+        if is_po {
             let pad = placement.pad_of_signal[&s];
             sinks.push(rrg.node(RrNodeKind::Pad { id: pad }).expect("pad"));
-        }
-        if sinks.is_empty() {
-            continue;
         }
         requests.push(RouteRequest {
             net: design.signal_name(s).to_string(),
@@ -372,6 +427,7 @@ mod tests {
     use crate::route::{route, RouteOptions};
     use crate::techmap::map;
     use msaf_cells::fulladder::{micropipeline_full_adder, qdi_full_adder, SAFE_FA_MATCHED_DELAY};
+    use msaf_netlist::{GateKind, Netlist};
 
     fn full_pipeline(nl: &msaf_netlist::Netlist, arch: &ArchSpec) -> FabricConfig {
         let mapped = map(nl, arch).unwrap();
@@ -405,6 +461,67 @@ mod tests {
         assert!(
             pde_plb.pde.delay(&spec) >= u64::from(SAFE_FA_MATCHED_DELAY),
             "programmed delay must cover the request"
+        );
+    }
+
+    #[test]
+    fn pde_in_another_plb_gets_its_input_through_an_output_pin() {
+        // Two PDEs delay one LE output: the first joins the LE's PLB,
+        // the second gets a PLB of its own and reads the signal through
+        // the fabric, so the LE's PLB must export it.
+        let mut nl = Netlist::new("two_pdes");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let (_, y) = nl.add_gate_new(GateKind::And, "g", &[a, b]);
+        for i in 0..2 {
+            let (_, z) = nl.add_gate_new(GateKind::Delay(4), format!("d{i}"), &[y]);
+            nl.mark_output(z);
+        }
+        let cfg = full_pipeline(&nl, &ArchSpec::paper(4, 4));
+        assert_eq!(cfg.plbs.iter().filter(|p| p.pde.is_used()).count(), 2);
+    }
+
+    #[test]
+    fn plb_pin_overflow_is_a_named_error() {
+        // One PLB reading eight primary inputs and driving two primary
+        // outputs, bound onto PLBs one pin short on either side.
+        let mut nl = Netlist::new("two_outs");
+        let ins: Vec<_> = (0..8).map(|i| nl.add_input(format!("a{i}"))).collect();
+        for (i, kind) in [GateKind::And, GateKind::Or].into_iter().enumerate() {
+            let (_, y) = nl.add_gate_new(kind, format!("g{i}"), &ins[4 * i..4 * i + 4]);
+            nl.mark_output(y);
+        }
+        let arch = ArchSpec::paper(3, 3);
+        let mapped = map(&nl, &arch).unwrap();
+        let packed = PackedDesign {
+            plbs: vec![crate::pack::PackedPlb {
+                les: (0..mapped.les.len()).collect(),
+                pde: None,
+            }],
+        };
+        let placement = place(&mapped, &packed, &arch, 1).unwrap();
+        let bind_with = |inputs, outputs| {
+            let mut narrow = arch.clone();
+            (narrow.plb.inputs, narrow.plb.outputs) = (inputs, outputs);
+            let rrg = Rrg::build(&narrow);
+            bind(&mapped, &packed, &placement, &narrow, &rrg).map(|_| ())
+        };
+        assert_eq!(bind_with(8, 2), Ok(()));
+        assert_eq!(
+            bind_with(7, 2),
+            Err(BitgenError::InputPinOverflow {
+                plb: 0,
+                needed: 8,
+                available: 7
+            })
+        );
+        assert_eq!(
+            bind_with(8, 1),
+            Err(BitgenError::OutputPinOverflow {
+                plb: 0,
+                needed: 2,
+                available: 1
+            })
         );
     }
 

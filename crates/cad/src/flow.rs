@@ -337,8 +337,13 @@ fn compile_inner(
     };
 
     let stage = std::time::Instant::now();
-    let pack_span = tracer.span("flow.pack");
+    let techmap_span = tracer.span("flow.techmap");
     let mapped = map(netlist, &opts.arch).map_err(FlowError::Map)?;
+    drop(techmap_span);
+    let techmap_ms = stage.elapsed().as_secs_f64() * 1e3;
+
+    let stage = std::time::Instant::now();
+    let pack_span = tracer.span("flow.pack");
     let packed = cache.run(
         Stage::Pack,
         |key| key.write_str(&format!("{:?}", opts.arch)),
@@ -493,6 +498,7 @@ fn compile_inner(
         route_colors: routed.stats.conflict_colors,
         route_max_class: routed.stats.max_class,
         wirelength: config.total_wirelength(),
+        techmap_ms,
         pack_ms,
         place_ms,
         route_ms,

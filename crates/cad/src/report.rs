@@ -44,7 +44,9 @@ pub struct FlowReport {
     pub route_max_class: u64,
     /// Total routed wirelength.
     pub wirelength: usize,
-    /// Wall time of mapping + packing, in milliseconds.
+    /// Wall time of technology mapping, in milliseconds.
+    pub techmap_ms: f64,
+    /// Wall time of packing, in milliseconds.
     pub pack_ms: f64,
     /// Wall time of placement, in milliseconds.
     pub place_ms: f64,
@@ -107,6 +109,7 @@ impl FlowReport {
         w.field_u64("route_max_class", self.route_max_class);
         w.field_f64("conflict_serial_frac", self.conflict_serial_frac());
         w.field_u64("wirelength", as_u64(self.wirelength));
+        w.field_f64("techmap_ms", self.techmap_ms);
         w.field_f64("pack_ms", self.pack_ms);
         w.field_f64("place_ms", self.place_ms);
         w.field_f64("route_ms", self.route_ms);
@@ -210,8 +213,8 @@ impl fmt::Display for FlowReport {
         )?;
         writeln!(
             f,
-            "stage times      : pack {:.2} ms, place {:.2} ms, route {:.2} ms",
-            self.pack_ms, self.place_ms, self.route_ms
+            "stage times      : techmap {:.2} ms, pack {:.2} ms, place {:.2} ms, route {:.2} ms",
+            self.techmap_ms, self.pack_ms, self.place_ms, self.route_ms
         )?;
         writeln!(
             f,
@@ -252,6 +255,7 @@ mod tests {
             route_colors: 3,
             route_max_class: 4,
             wirelength: 40,
+            techmap_ms: 0.25,
             pack_ms: 0.5,
             place_ms: 1.5,
             route_ms: 2.5,
@@ -297,6 +301,7 @@ mod tests {
         let v = msaf_trace::json::parse(&json).expect("to_json parses");
         assert_eq!(v.get("design").unwrap().as_str(), Some("d"));
         assert_eq!(v.get("route_ripups").unwrap().as_num(), Some(6.0));
+        assert_eq!(v.get("techmap_ms").unwrap().as_num(), Some(0.25));
         assert_eq!(
             v.get("grid").unwrap().as_arr().map(<[_]>::len),
             Some(2),

@@ -204,6 +204,154 @@ impl MappedDesign {
     }
 }
 
+/// Who uses each signal of a [`MappedDesign`], flattened once so the
+/// packer and the binder never scan the whole design per query.
+///
+/// The layout is the compressed-sparse-row idiom of
+/// `msaf_netlist::FanoutIndex`: one offsets array plus one flat array
+/// per relation. Built in O(LEs + pins) by [`SignalUses::build`]; a
+/// snapshot, so a design edited afterwards needs a fresh index.
+#[derive(Debug)]
+pub(crate) struct SignalUses {
+    /// LE `i`'s distinct input signals ([`MappedLe::input_signals`]) are
+    /// `le_inputs[le_input_offsets[i]..le_input_offsets[i + 1]]`.
+    le_input_offsets: Vec<usize>,
+    le_inputs: Vec<SignalId>,
+    /// LE `i`'s output signals ([`MappedLe::output_signals`]), same layout.
+    le_output_offsets: Vec<usize>,
+    le_outputs: Vec<SignalId>,
+    /// Signal `s`'s consuming LEs, in index order, same layout.
+    consumer_offsets: Vec<usize>,
+    consumers: Vec<usize>,
+    /// Signal `s`'s consuming PDEs, in index order, same layout.
+    pde_consumer_offsets: Vec<usize>,
+    pde_consumers: Vec<usize>,
+    /// The LE producing each signal, if one does.
+    producer: Vec<Option<usize>>,
+    /// Primary-output flags.
+    po: Vec<bool>,
+    /// Constant-producer flags.
+    constant: Vec<bool>,
+}
+
+/// Per-row lists flattened into `(offsets, items)`.
+fn csr<T>(rows: impl Iterator<Item = impl IntoIterator<Item = T>>) -> (Vec<usize>, Vec<T>) {
+    let mut offsets = vec![0];
+    let mut items = Vec::new();
+    for row in rows {
+        items.extend(row);
+        offsets.push(items.len());
+    }
+    (offsets, items)
+}
+
+/// Inverts `rows` (row → signals) into signal → rows, each list in row
+/// order: a counting sort over `signals` buckets.
+fn invert(
+    signals: usize,
+    rows: impl Iterator<Item = (usize, SignalId)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut offsets = vec![0; signals + 1];
+    for (_, s) in rows.clone() {
+        offsets[s.index() + 1] += 1;
+    }
+    for i in 0..signals {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut fill = offsets.clone();
+    let mut items = vec![0; offsets[signals]];
+    for (row, s) in rows {
+        items[fill[s.index()]] = row;
+        fill[s.index()] += 1;
+    }
+    (offsets, items)
+}
+
+impl SignalUses {
+    /// Indexes `design`.
+    pub(crate) fn build(design: &MappedDesign) -> Self {
+        let signals = design.producers.len();
+        let (le_input_offsets, le_inputs) = csr(design.les.iter().map(MappedLe::input_signals));
+        let (le_output_offsets, le_outputs) = csr(design.les.iter().map(MappedLe::output_signals));
+        let le_rows = (0..design.les.len()).flat_map(|li| {
+            le_inputs[le_input_offsets[li]..le_input_offsets[li + 1]]
+                .iter()
+                .map(move |&s| (li, s))
+        });
+        let (consumer_offsets, consumers) = invert(signals, le_rows);
+        let (pde_consumer_offsets, pde_consumers) = invert(
+            signals,
+            design.pdes.iter().enumerate().map(|(pi, p)| (pi, p.input)),
+        );
+        let producer = design
+            .producers
+            .iter()
+            .map(|p| match *p {
+                Producer::Le { le, .. } => Some(le),
+                _ => None,
+            })
+            .collect();
+        let mut po = vec![false; signals];
+        for &s in &design.pos {
+            po[s.index()] = true;
+        }
+        let constant = design
+            .producers
+            .iter()
+            .map(|p| matches!(p, Producer::Const(_)))
+            .collect();
+        Self {
+            le_input_offsets,
+            le_inputs,
+            le_output_offsets,
+            le_outputs,
+            consumer_offsets,
+            consumers,
+            pde_consumer_offsets,
+            pde_consumers,
+            producer,
+            po,
+            constant,
+        }
+    }
+
+    /// LE `le`'s distinct input signals, ascending.
+    pub(crate) fn inputs(&self, le: usize) -> &[SignalId] {
+        &self.le_inputs[self.le_input_offsets[le]..self.le_input_offsets[le + 1]]
+    }
+
+    /// LE `le`'s output signals, in tap order.
+    pub(crate) fn outputs(&self, le: usize) -> &[SignalId] {
+        &self.le_outputs[self.le_output_offsets[le]..self.le_output_offsets[le + 1]]
+    }
+
+    /// The LEs consuming `s`, ascending.
+    pub(crate) fn consumers(&self, s: SignalId) -> &[usize] {
+        &self.consumers[self.consumer_offsets[s.index()]..self.consumer_offsets[s.index() + 1]]
+    }
+
+    /// The PDEs consuming `s`, ascending.
+    pub(crate) fn pde_consumers(&self, s: SignalId) -> &[usize] {
+        &self.pde_consumers
+            [self.pde_consumer_offsets[s.index()]..self.pde_consumer_offsets[s.index() + 1]]
+    }
+
+    /// The LE producing `s`, if one does.
+    pub(crate) fn producer(&self, s: SignalId) -> Option<usize> {
+        self.producer[s.index()]
+    }
+
+    /// Whether `s` is a primary output.
+    pub(crate) fn is_po(&self, s: SignalId) -> bool {
+        self.po[s.index()]
+    }
+
+    /// Whether `s` is a constant.
+    pub(crate) fn is_const(&self, s: SignalId) -> bool {
+        self.constant[s.index()]
+    }
+}
+
 /// Errors from [`map`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapError {

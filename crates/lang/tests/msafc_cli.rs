@@ -117,6 +117,7 @@ pipeline p {
     assert!(stats.spans > 0, "no spans: {stats}");
     for name in [
         "msafc.style",
+        "flow.techmap",
         "flow.pack",
         "flow.place",
         "flow.route",

@@ -1,9 +1,10 @@
 //! Cross-crate contract tests for the artifact layer (`msaf-artifact` +
 //! `msaf_cad::checkpoint`): serialize → deserialize → re-digest is the
 //! identity, over both randomized artifact contents and real compiled
-//! workloads, and the bitstream artifact digests of the committed
-//! `adder4.msa` example are pinned per style (the compile server's
-//! "byte-identical bitstream" fact as a golden).
+//! workloads. Two goldens ride along: the bitstream artifact digests of
+//! the committed `adder4.msa`, `wide32.msa` and `fir4.msa` examples per
+//! style (the compile server's "byte-identical bitstream" fact), and
+//! the pack artifact digest of every committed example per style.
 
 use msaf::artifact::digest::{digest_trees, fnv1a};
 use msaf::artifact::{
@@ -11,11 +12,14 @@ use msaf::artifact::{
     TimingArtifact,
 };
 use msaf::cad::checkpoint;
+use msaf::cad::pack::pack;
 use msaf::fabric::rrg::RrNodeKind;
 use msaf::prelude::*;
 use proptest::prelude::*;
 
 const ADDER4: &str = include_str!("../examples/msa/adder4.msa");
+const WIDE32: &str = include_str!("../examples/msa/wide32.msa");
+const FIR4: &str = include_str!("../examples/msa/fir4.msa");
 
 /// A proptest strategy for routing-resource node kinds covering every
 /// coordinate-carrying variant the router actually emits.
@@ -191,5 +195,170 @@ fn adder4_bitstream_digests_are_pinned_per_style() {
             checkpoint::checkpoint_bitstream(&first.config).digest(),
             digest
         );
+    }
+}
+
+/// The bitstream artifact digest of `src` compiled in `style` (seed 1,
+/// default options).
+fn bitstream_digest(src: &str, style: Style) -> u64 {
+    let nl = compile_msa(src, style).expect("elaborates");
+    let compiled = compile(&nl, &FlowOptions::default()).expect("flow succeeds");
+    checkpoint::checkpoint_bitstream(&compiled.config).digest()
+}
+
+/// The fabric-scale examples' bitstream digests, per style in
+/// [`Style::ALL`] order (seed 1, default options): the PLB configs bind
+/// produces are pinned here, not only the route statistics.
+#[test]
+fn fabric_scale_bitstream_digests_are_pinned_per_style() {
+    const PINNED: [(&str, &str, [u64; 3]); 2] = [
+        (
+            "wide32",
+            WIDE32,
+            [
+                0x57b1_cfe1_bc22_46f8,
+                0x930d_cd1a_5a1e_87af,
+                0x4913_fd65_c601_e81c,
+            ],
+        ),
+        (
+            "fir4",
+            FIR4,
+            [
+                0xa896_babc_adaa_fa87,
+                0xf001_2235_af9c_4888,
+                0xb4b4_ce58_0719_78d2,
+            ],
+        ),
+    ];
+    for (name, src, digests) in PINNED {
+        for (style, expected) in Style::ALL.into_iter().zip(digests) {
+            let digest = bitstream_digest(src, style);
+            assert_eq!(
+                digest, expected,
+                "{name} {style}: bitstream artifact digest drifted (got {digest:#018x})"
+            );
+        }
+    }
+}
+
+/// The pack artifact digest of every committed example, per style in
+/// [`Style::ALL`] order, on the paper's architecture: the packer's
+/// exact PLB assignment, tie rule included.
+#[test]
+fn example_pack_digests_are_pinned_per_style() {
+    const PINNED: [(&str, &str, [u64; 3]); 11] = [
+        (
+            "adder4",
+            ADDER4,
+            [
+                0x17f9_43a2_78b4_6074,
+                0x6b56_964d_ff2e_675b,
+                0x0016_b0e8_71ea_fba3,
+            ],
+        ),
+        (
+            "adder4_mod",
+            include_str!("../examples/msa/adder4_mod.msa"),
+            [
+                0x17f9_43a2_78b4_6074,
+                0x6b56_964d_ff2e_675b,
+                0x0016_b0e8_71ea_fba3,
+            ],
+        ),
+        (
+            "fifo2",
+            include_str!("../examples/msa/fifo2.msa"),
+            [
+                0xeaec_ead3_1fa4_f606,
+                0x37fd_dd3f_1562_a9d8,
+                0xb2f7_c8c0_686a_60a9,
+            ],
+        ),
+        (
+            "fifo2_mod",
+            include_str!("../examples/msa/fifo2_mod.msa"),
+            [
+                0xeaec_ead3_1fa4_f606,
+                0x37fd_dd3f_1562_a9d8,
+                0xb2f7_c8c0_686a_60a9,
+            ],
+        ),
+        (
+            "parity8",
+            include_str!("../examples/msa/parity8.msa"),
+            [
+                0x76b5_69bd_2e7b_c2be,
+                0xc3ee_d20f_fcac_1c89,
+                0x6316_3443_951d_e48e,
+            ],
+        ),
+        (
+            "muxtree4",
+            include_str!("../examples/msa/muxtree4.msa"),
+            [
+                0x8d9f_e2e4_0f4f_7c73,
+                0x2230_2d6b_0916_e0bb,
+                0x044b_17ad_db51_78ef,
+            ],
+        ),
+        (
+            "adder16",
+            include_str!("../examples/msa/adder16.msa"),
+            [
+                0xfd9d_49bb_27d1_19a4,
+                0x7e82_8b89_2aa3_1c58,
+                0x1af4_9b7b_6861_da24,
+            ],
+        ),
+        (
+            "wide32",
+            WIDE32,
+            [
+                0x32c5_12ff_9799_c7a5,
+                0xb8c5_c091_75e1_9864,
+                0x261e_8964_c154_849f,
+            ],
+        ),
+        (
+            "fir4",
+            FIR4,
+            [
+                0xae0f_1ae3_60ec_a5f4,
+                0x59d3_6783_5fa9_7b3f,
+                0xa16b_daa0_a793_85f6,
+            ],
+        ),
+        (
+            "fifomesh",
+            include_str!("../examples/msa/fifomesh.msa"),
+            [
+                0x50d9_784d_4d77_0c68,
+                0x6030_e018_28ee_292b,
+                0x8359_1ba0_b185_f7c0,
+            ],
+        ),
+        (
+            "adder64",
+            include_str!("../examples/msa/adder64.msa"),
+            [
+                0x694f_c91d_4755_f784,
+                0xd9d9_2c87_975a_d4c4,
+                0x19e8_e215_1516_0d9b,
+            ],
+        ),
+    ];
+    let arch = FlowOptions::default().arch;
+    for (name, src, digests) in PINNED {
+        for (style, expected) in Style::ALL.into_iter().zip(digests) {
+            let nl = compile_msa(src, style).expect("elaborates");
+            let mapped = map(&nl, &arch).expect("maps");
+            let packed = pack(&mapped, &arch).expect("packs");
+            let digest = checkpoint::checkpoint_pack(&packed).digest();
+            assert_eq!(
+                digest, expected,
+                "{name} {style}: pack artifact digest drifted (got {digest:#018x})"
+            );
+        }
     }
 }

@@ -16,11 +16,8 @@
 //!    netlist (`verify_tokens`), checked against independent Rust
 //!    references. The QDI adder64 elaborates past 1000 nets — the
 //!    fabric-scale regime the colored-negotiation router targets.
-//!
-//! The WCHB builds of adder64/fifomesh are thousands of gates and this
-//! suite must stay tier-1-fast on one core, so those two combos are
-//! `#[ignore]`d by default; run them with
-//! `cargo test --release --test lang_diff -- --ignored`.
+//!    Every workload runs in every style, the thousands-of-gates WCHB
+//!    builds of adder64 and fifomesh included.
 
 use msaf::netlist::NetlistStats;
 use msaf::prelude::*;
@@ -245,14 +242,12 @@ fn fifomesh_qdi_and_bundled_through_fabric() {
 }
 
 #[test]
-#[ignore = "thousands of WCHB gates on one core — run with --ignored in release"]
 fn adder64_wchb_through_fabric() {
     let (inputs, want) = adder64_inputs();
     compile_and_verify(ADDER64, Style::Wchb, &inputs, &want);
 }
 
 #[test]
-#[ignore = "thousands of WCHB gates on one core — run with --ignored in release"]
 fn fifomesh_wchb_through_fabric() {
     let (inputs, want) = fifomesh_inputs();
     compile_and_verify(FIFOMESH, Style::Wchb, &inputs, &want);

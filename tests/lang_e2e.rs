@@ -108,6 +108,35 @@ fn fifo2_all_styles_through_fabric() {
     }
 }
 
+/// On an IM without feedback, WCHB's looped LUTs round-trip through the
+/// routing fabric and take PLB input pins the packer does not budget
+/// for: the flow names the overflowing PLB instead of panicking.
+#[test]
+fn no_feedback_pin_overflow_is_a_named_bitgen_error() {
+    use msaf::cad::bitgen::BitgenError;
+    let nl = compile_msa(ADDER4, Style::Wchb).expect("elaborates");
+    let opts = FlowOptions {
+        arch: ArchSpec::no_feedback(1, 1),
+        ..FlowOptions::default()
+    };
+    let err = compile(&nl, &opts).expect_err("adder4 WCHB overflows a no-feedback PLB");
+    assert!(
+        matches!(
+            err,
+            FlowError::Bitgen(BitgenError::InputPinOverflow {
+                plb: 10,
+                needed: 11,
+                available: 10
+            })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "bitgen: PLB 10 needs 11 input pins, the architecture has 10"
+    );
+}
+
 #[test]
 fn msa_qdi_adder_equals_cells_generator() {
     // The front-end must not drift from the hand-built reference: same

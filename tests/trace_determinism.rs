@@ -190,8 +190,14 @@ fn recorded_flow_renders_a_wellformed_chrome_trace() {
     .expect("compiles");
     let json = recorder.to_chrome_json();
     let stats = msaf::trace::chrome::validate(&json).expect("well-formed");
-    assert!(stats.spans >= 4, "expected at least the stage spans");
-    for name in ["flow.pack", "flow.place", "flow.route", "flow.bitgen"] {
+    assert!(stats.spans >= 5, "expected at least the stage spans");
+    for name in [
+        "flow.techmap",
+        "flow.pack",
+        "flow.place",
+        "flow.route",
+        "flow.bitgen",
+    ] {
         assert!(stats.names.contains(name), "missing '{name}' in {stats}");
     }
 }
