@@ -84,13 +84,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// FNV-1a over a value's `Debug` rendering — the cheap "byte identity"
-/// the golden tests use for structs that don't serialize.
-#[must_use]
-pub fn digest_debug<T: std::fmt::Debug>(value: &T) -> u64 {
-    fnv1a(format!("{value:?}").as_bytes())
-}
-
 /// FNV-1a over the debug rendering of every route tree, in request
 /// order — the historical routing-solution digest (node kinds, tree
 /// shapes, and edge order all feed in). The stream concatenates the

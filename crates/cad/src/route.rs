@@ -34,8 +34,9 @@
 //! route list in **chunks** of [`RouteOptions::chunk`] nets. A chunk
 //! routes every member against the **frozen** occupancy left by earlier
 //! chunks (read-only, so the members can be searched concurrently by
-//! [`RouteOptions::threads`] scoped workers with per-thread scratch),
-//! then merges all new trees back into the occupancy in request order.
+//! [`RouteOptions::threads`] workers with per-thread scratch — the
+//! calling thread plus scoped spawns, none at one thread), then merges
+//! all new trees back into the occupancy in request order.
 //! Because every search is a deterministic function of the frozen view,
 //! the routing result — trees, wirelength, iterations, rip-ups, even
 //! the `nodes_popped` counter — is **byte-identical at every thread
@@ -826,22 +827,15 @@ fn route_impl(
             });
             reroute.iter().map(|&ri| vec![ri]).collect()
         };
-        if scratches.len() >= 2 && groups.iter().any(|g| g.len() >= 2) {
-            route_groups_parallel(
-                rrg,
-                requests,
-                &groups,
-                &cm,
-                tview,
-                &mut occupancy,
-                &mut trees,
-                &mut scratches,
-                &mut popped,
-                &mut ripups,
-                tracer,
-            )?;
-        } else {
-            // Serial schedule: identical group discipline, one thread.
+        // One worker loop at every thread count: the coordinating thread
+        // routes alongside `min(threads, chunk, largest group) − 1`
+        // spawned workers, so a one-thread run, or an iteration of
+        // single-net groups, spawns nothing.
+        let lanes = scratches
+            .len()
+            .min(groups.iter().map(Vec::len).max().unwrap_or(0))
+            .max(1);
+        if lanes == 1 {
             tracer.event("route.serial_execution", || {
                 let reason = if scratches.len() < 2 {
                     "one worker: threads=1 or chunk=1"
@@ -850,62 +844,20 @@ fn route_impl(
                 };
                 vec![("iteration", iteration.into()), ("reason", reason.into())]
             });
-            let mut results: Vec<Option<(NetTree, u64)>> = Vec::new();
-            for (gi, group) in groups.iter().enumerate() {
-                let _class_span = tracer.span_args("route.class", || {
-                    vec![("class", gi.into()), ("size", group.len().into())]
-                });
-                // 1. Rip up every group member's previous tree: the
-                //    group routes against the occupancy left by earlier
-                //    groups alone, a frozen view all its searches share.
-                for &ri in group {
-                    if let Some(tree) = trees[ri].take() {
-                        ripups += 1;
-                        for (node, _) in tree {
-                            if is_wire(rrg.kind(node)) {
-                                occupancy[node.index()] -= 1;
-                            }
-                        }
-                    }
-                }
-                // 2. Route the members against the frozen view (nothing
-                //    merges mid-group, so sequential execution sees the
-                //    same occupancy a concurrent worker would).
-                results.clear();
-                for &ri in group {
-                    let res = route_net(
-                        rrg,
-                        &requests[ri],
-                        &occupancy,
-                        &cm,
-                        crit_for(tview, ri),
-                        &mut scratches[0],
-                    );
-                    let failed = res.is_none();
-                    results.push(res);
-                    // An unreachable sink aborts the run; skip the rest
-                    // of the group (their results could not matter).
-                    if failed {
-                        break;
-                    }
-                }
-                // 3. Merge: commit every new tree in member order. The
-                //    first unreachable net (in group order) reports,
-                //    exactly as the parallel schedule would.
-                for (slot, &ri) in results.iter_mut().zip(group) {
-                    let (tree, pops) = slot.take().ok_or_else(|| RouteError::Unreachable {
-                        net: requests[ri].net.clone(),
-                    })?;
-                    popped += pops;
-                    for (node, _) in &tree {
-                        if is_wire(rrg.kind(*node)) {
-                            occupancy[node.index()] += 1;
-                        }
-                    }
-                    trees[ri] = Some(tree);
-                }
-            }
         }
+        route_groups(
+            rrg,
+            requests,
+            &groups,
+            &cm,
+            tview,
+            &mut occupancy,
+            &mut trees,
+            &mut scratches[..lanes],
+            &mut popped,
+            &mut ripups,
+            tracer,
+        )?;
 
         // Slack recomputation happens between — never within —
         // iterations: hand the actual routed per-sink wire delays to the
@@ -988,10 +940,11 @@ fn route_impl(
     Err(RouteError::Unroutable { overused })
 }
 
-/// Routes one whole grouped iteration on scoped worker threads spawned
-/// **once** (not once per group — thread creation is far too expensive
-/// to re-pay 16+ times per routing call). The rounds are phased by a
-/// [`Barrier`]: between two barrier waits everyone (the coordinator —
+/// Routes one whole grouped iteration: this thread plus one scoped
+/// worker per further scratch, spawned **once** (not once per group —
+/// thread creation is far too expensive to re-pay 16+ times per routing
+/// call); with one scratch nothing is spawned. The rounds are phased by
+/// a [`Barrier`]: between two barrier waits everyone (the coordinator —
 /// this thread — included) pulls group members off an atomic cursor and
 /// routes them against a read-locked occupancy; between rounds the
 /// coordinator alone write-locks to merge the finished trees and rip up
@@ -1003,9 +956,9 @@ fn route_impl(
 /// On an unreachable net the coordinator records the error and stops
 /// opening rounds (the cursor is never reset, so workers fall through
 /// the remaining barriers without work); the error reported is the
-/// first failure in group-member order, same as the serial schedule.
+/// first failure in group-member order at every thread count.
 #[allow(clippy::too_many_arguments)]
-fn route_groups_parallel(
+fn route_groups(
     rrg: &Rrg,
     requests: &[RouteRequest],
     groups: &[Vec<usize>],

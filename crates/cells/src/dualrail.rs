@@ -182,21 +182,6 @@ pub fn dims(nl: &mut Netlist, prefix: &str, inputs: &[Dr], funcs: &[DimsFn<'_>])
         .collect()
 }
 
-/// DIMS dual-rail AND of two bits.
-pub fn dims_and2(nl: &mut Netlist, prefix: &str, a: Dr, b: Dr) -> Dr {
-    dims(nl, prefix, &[a, b], &[("and", &|v: &[bool]| v[0] && v[1])])[0]
-}
-
-/// DIMS dual-rail XOR of two bits.
-pub fn dims_xor2(nl: &mut Netlist, prefix: &str, a: Dr, b: Dr) -> Dr {
-    dims(nl, prefix, &[a, b], &[("xor", &|v: &[bool]| v[0] ^ v[1])])[0]
-}
-
-/// DIMS dual-rail OR of two bits.
-pub fn dims_or2(nl: &mut Netlist, prefix: &str, a: Dr, b: Dr) -> Dr {
-    dims(nl, prefix, &[a, b], &[("or", &|v: &[bool]| v[0] || v[1])])[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

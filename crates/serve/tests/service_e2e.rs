@@ -153,6 +153,35 @@ fn malformed_envelopes_are_rejected_before_dispatch() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_named_400_and_the_server_survives() {
+    let (addr, handle) = start_server();
+    let addr = addr.to_string();
+
+    // Every `[` is one level of the envelope parser's recursion: 100 KB
+    // of them would overflow a worker's stack and abort the server.
+    let body = "[".repeat(100_000);
+    let response = client::post(&addr, "/compile", &body).unwrap();
+    assert_eq!(response.status, 400);
+    let limit = format!(
+        "recursion limit exceeded: more than {} nested",
+        msaf_trace::json::MAX_DEPTH
+    );
+    assert!(response.body.contains(&limit), "got {:?}", response.body);
+
+    let health = client::get(&addr, "/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    let envelope = client::compile_envelope(SOURCE, "qdi", 1, 0.0);
+    let outcome = client::compile_streaming(&addr, &envelope, |_| {}).unwrap();
+    assert!(
+        outcome.ok,
+        "compile after the rejection: {:?}",
+        outcome.error
+    );
+
+    shutdown(&addr, handle);
+}
+
+#[test]
 fn concurrent_compiles_share_the_cache() {
     let (addr, handle) = start_server();
     let addr = addr.to_string();

@@ -19,7 +19,6 @@
 use crate::delay::DelayModel;
 use crate::diagnose::{render_stalls, StallDiagnosis};
 use crate::engine::{SimError, SimTime, Simulator};
-use crate::queue::QueueKind;
 use msaf_netlist::{Channel, ChannelDir, Encoding, NetId, Netlist};
 use msaf_trace::Tracer;
 use std::collections::{BTreeMap, VecDeque};
@@ -712,8 +711,6 @@ pub struct TokenRunOptions {
     pub bundling_setup: u64,
     /// Total committed-event budget.
     pub max_events: u64,
-    /// Pending-event backend for the underlying simulator.
-    pub queue: QueueKind,
 }
 
 impl Default for TokenRunOptions {
@@ -722,7 +719,6 @@ impl Default for TokenRunOptions {
             gap: 2,
             bundling_setup: 0,
             max_events: 2_000_000,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -865,7 +861,7 @@ pub fn token_run_traced(
             ("agents", agents.len().into()),
         ]
     });
-    let mut sim = Simulator::with_queue(netlist, model, opts.queue);
+    let mut sim = Simulator::new(netlist, model);
     sim.set_tracer(tracer.clone());
     let driven = drive_agents(&mut sim, &mut agents, opts.max_events);
     sim.trace_summary();

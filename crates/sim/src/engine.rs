@@ -35,12 +35,11 @@
 //!   allocation or hashing. Transport (`Delay`) gates are exempt from the
 //!   check — they legitimately keep several edges in flight and never
 //!   cancel;
-//! * the pending-event store is a pluggable [`QueueKind`] (binary heap by
-//!   default; a two-level timing wheel is available — see
-//!   [`crate::queue`] for the benchmark-driven choice).
+//! * pending events live in a two-level timing wheel: O(1) push and pop,
+//!   with bitmap occupancy so quiet time is skipped a word at a time.
 
 use crate::delay::DelayModel;
-use crate::queue::{Ev, EventQueue, QueueDepthStats, QueueKind};
+use crate::queue::{Ev, Wheel};
 use crate::trace::Trace;
 use msaf_netlist::{FanoutIndex, GateId, GateKind, NetId, Netlist};
 use msaf_trace::Tracer;
@@ -123,7 +122,8 @@ pub struct Simulator<'a> {
     /// the gate's *only* live event (generation check identity); for
     /// transport gates it tracks the last scheduled edge (coalescing).
     pending: Vec<Option<Pending>>,
-    queue: EventQueue,
+    // Boxed: the wheel carries several KiB of inline slot arrays.
+    queue: Box<Wheel>,
     seq: u64,
     now: SimTime,
     glitches: Vec<Glitch>,
@@ -168,13 +168,6 @@ impl<'a> Simulator<'a> {
     /// method) to let the circuit power up.
     #[must_use]
     pub fn new(netlist: &'a Netlist, model: &dyn DelayModel) -> Self {
-        Self::with_queue(netlist, model, QueueKind::default())
-    }
-
-    /// Like [`Simulator::new`] but with an explicit pending-event backend
-    /// (used by benches; see [`QueueKind`]).
-    #[must_use]
-    pub fn with_queue(netlist: &'a Netlist, model: &dyn DelayModel, queue: QueueKind) -> Self {
         let n_nets = netlist.nets().len();
         let n_gates = netlist.gates().len();
         let mut values = vec![false; n_nets];
@@ -216,7 +209,7 @@ impl<'a> Simulator<'a> {
             values,
             delays,
             pending: vec![None; n_gates],
-            queue: EventQueue::new(queue),
+            queue: Box::new(Wheel::new()),
             seq: 0,
             now: 0,
             glitches: Vec::new(),
@@ -291,7 +284,7 @@ impl<'a> Simulator<'a> {
 
     /// Timesteps executed so far (calls to [`Simulator::step`] that found
     /// work). Perf diagnostic: events ÷ steps is the activity density the
-    /// queue backend sees.
+    /// event queue sees.
     #[must_use]
     pub fn steps_executed(&self) -> u64 {
         self.steps_executed
@@ -302,19 +295,6 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn gates_evaluated(&self) -> u64 {
         self.gates_evaluated
-    }
-
-    /// Peak pending-event count observed at any timestep boundary.
-    #[must_use]
-    pub fn queue_depth_high_water(&self) -> usize {
-        self.queue_depth_hw
-    }
-
-    /// Per-wheel-level occupancy high-water marks (`None` under the
-    /// heap backend — see [`QueueDepthStats`]).
-    #[must_use]
-    pub fn queue_depth_stats(&self) -> Option<QueueDepthStats> {
-        self.queue.depth_stats()
     }
 
     /// Installs a flight recorder: every `TRACE_CADENCE` (1024) executed
@@ -332,20 +312,18 @@ impl<'a> Simulator<'a> {
     /// without a sink.
     pub fn trace_summary(&self) {
         self.tracer.event("sim.summary", || {
-            let mut args = vec![
+            let d = self.queue.depth_stats();
+            vec![
                 ("events", self.events_processed.into()),
                 ("steps", self.steps_executed.into()),
                 ("gates_evaluated", self.gates_evaluated.into()),
                 ("glitches", self.glitches.len().into()),
                 ("queue_depth_hw", self.queue_depth_hw.into()),
                 ("now", self.now.into()),
-            ];
-            if let Some(d) = self.queue.depth_stats() {
-                args.push(("wheel_near_hw", d.high_water_near.into()));
-                args.push(("wheel_far_hw", d.high_water_far.into()));
-                args.push(("wheel_overflow_hw", d.high_water_overflow.into()));
-            }
-            args
+                ("wheel_near_hw", d.high_water_near.into()),
+                ("wheel_far_hw", d.high_water_far.into()),
+                ("wheel_overflow_hw", d.high_water_overflow.into()),
+            ]
         });
     }
 
@@ -741,59 +719,48 @@ mod tests {
         sim.settle(1_000_000).expect("settles");
     }
 
-    /// Every engine test runs under both queue backends; observable
-    /// behaviour must not depend on the choice.
-    fn with_both_queues(f: impl Fn(QueueKind)) {
-        f(QueueKind::Heap);
-        f(QueueKind::Wheel);
-    }
-
     #[test]
     fn inverter_chain_propagates() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("chain");
-            let a = nl.add_input("a");
-            let (_, y0) = nl.add_gate_new(GateKind::Not, "n0", &[a]);
-            let (_, y1) = nl.add_gate_new(GateKind::Not, "n1", &[y0]);
-            nl.mark_output(y1);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(3), q);
-            settle_all(&mut sim);
-            assert!(sim.value(y0));
-            assert!(!sim.value(y1));
-            let t0 = sim.now();
-            sim.set_input(a, true, 1);
-            settle_all(&mut sim);
-            assert!(!sim.value(y0));
-            assert!(sim.value(y1));
-            // a flips at t0+1, n0 at +3, n1 at +3 more.
-            assert_eq!(sim.now(), t0 + 1 + 3 + 3);
-        });
+        let mut nl = Netlist::new("chain");
+        let a = nl.add_input("a");
+        let (_, y0) = nl.add_gate_new(GateKind::Not, "n0", &[a]);
+        let (_, y1) = nl.add_gate_new(GateKind::Not, "n1", &[y0]);
+        nl.mark_output(y1);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(3));
+        settle_all(&mut sim);
+        assert!(sim.value(y0));
+        assert!(!sim.value(y1));
+        let t0 = sim.now();
+        sim.set_input(a, true, 1);
+        settle_all(&mut sim);
+        assert!(!sim.value(y0));
+        assert!(sim.value(y1));
+        // a flips at t0+1, n0 at +3, n1 at +3 more.
+        assert_eq!(sim.now(), t0 + 1 + 3 + 3);
     }
 
     #[test]
     fn celement_waits_for_both() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("c");
-            let a = nl.add_input("a");
-            let b = nl.add_input("b");
-            let (_, y) = nl.add_gate_new(GateKind::Celement, "c0", &[a, b]);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(2), q);
-            settle_all(&mut sim);
-            assert!(!sim.value(y));
-            sim.set_input(a, true, 0);
-            settle_all(&mut sim);
-            assert!(!sim.value(y), "one input is not enough");
-            sim.set_input(b, true, 0);
-            settle_all(&mut sim);
-            assert!(sim.value(y));
-            sim.set_input(a, false, 0);
-            settle_all(&mut sim);
-            assert!(sim.value(y), "C-element holds");
-            sim.set_input(b, false, 0);
-            settle_all(&mut sim);
-            assert!(!sim.value(y));
-        });
+        let mut nl = Netlist::new("c");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let (_, y) = nl.add_gate_new(GateKind::Celement, "c0", &[a, b]);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(2));
+        settle_all(&mut sim);
+        assert!(!sim.value(y));
+        sim.set_input(a, true, 0);
+        settle_all(&mut sim);
+        assert!(!sim.value(y), "one input is not enough");
+        sim.set_input(b, true, 0);
+        settle_all(&mut sim);
+        assert!(sim.value(y));
+        sim.set_input(a, false, 0);
+        settle_all(&mut sim);
+        assert!(sim.value(y), "C-element holds");
+        sim.set_input(b, false, 0);
+        settle_all(&mut sim);
+        assert!(!sim.value(y));
     }
 
     #[test]
@@ -825,45 +792,41 @@ mod tests {
     fn inertial_filter_records_glitch() {
         // AND gate with delay 10; pulse of width 2 on one input while the
         // other is high must be swallowed and recorded.
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("glitch");
-            let a = nl.add_input("a");
-            let b = nl.add_input("b");
-            let (_, y) = nl.add_gate_new(GateKind::And, "g", &[a, b]);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(10), q);
-            settle_all(&mut sim);
-            sim.set_input(b, true, 0);
-            settle_all(&mut sim);
-            let transitions_before = sim.transitions(y);
-            sim.set_input(a, true, 0);
-            sim.set_input(a, false, 2);
-            settle_all(&mut sim);
-            assert_eq!(
-                sim.transitions(y),
-                transitions_before,
-                "pulse shorter than gate delay must be filtered"
-            );
-            assert_eq!(sim.glitches().len(), 1);
-        });
+        let mut nl = Netlist::new("glitch");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let (_, y) = nl.add_gate_new(GateKind::And, "g", &[a, b]);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(10));
+        settle_all(&mut sim);
+        sim.set_input(b, true, 0);
+        settle_all(&mut sim);
+        let transitions_before = sim.transitions(y);
+        sim.set_input(a, true, 0);
+        sim.set_input(a, false, 2);
+        settle_all(&mut sim);
+        assert_eq!(
+            sim.transitions(y),
+            transitions_before,
+            "pulse shorter than gate delay must be filtered"
+        );
+        assert_eq!(sim.glitches().len(), 1);
     }
 
     #[test]
     fn transport_delay_passes_short_pulses() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("pde");
-            let a = nl.add_input("a");
-            let (_, y) = nl.add_gate_new(GateKind::Delay(10), "d", &[a]);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(1), q);
-            settle_all(&mut sim);
-            sim.set_input(a, true, 0);
-            sim.set_input(a, false, 2);
-            settle_all(&mut sim);
-            // Both edges arrive, 10 units late each.
-            assert_eq!(sim.transitions(y), 2);
-            assert!(sim.glitches().is_empty());
-        });
+        let mut nl = Netlist::new("pde");
+        let a = nl.add_input("a");
+        let (_, y) = nl.add_gate_new(GateKind::Delay(10), "d", &[a]);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
+        settle_all(&mut sim);
+        sim.set_input(a, true, 0);
+        sim.set_input(a, false, 2);
+        settle_all(&mut sim);
+        // Both edges arrive, 10 units late each.
+        assert_eq!(sim.transitions(y), 2);
+        assert!(sim.glitches().is_empty());
     }
 
     #[test]
@@ -878,35 +841,31 @@ mod tests {
 
     #[test]
     fn quiescence_reporting() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("q");
-            let a = nl.add_input("a");
-            let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(1), q);
-            settle_all(&mut sim);
-            assert!(sim.is_quiescent());
-            sim.set_input(a, true, 5);
-            assert!(!sim.is_quiescent());
-            assert_eq!(sim.next_event_time(), Some(5));
-        });
+        let mut nl = Netlist::new("q");
+        let a = nl.add_input("a");
+        let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
+        settle_all(&mut sim);
+        assert!(sim.is_quiescent());
+        sim.set_input(a, true, 5);
+        assert!(!sim.is_quiescent());
+        assert_eq!(sim.next_event_time(), Some(5));
     }
 
     #[test]
     fn oscillator_hits_event_limit() {
         // Ring oscillator: NOT gate feeding itself via feedback marking —
         // oscillates forever, settle must bail out.
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("ring");
-            let y = nl.add_net("y");
-            let g = nl.add_gate(GateKind::Not, "inv", &[y], y);
-            nl.mark_feedback(g);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(1), q);
-            let err = sim.settle(100).unwrap_err();
-            assert!(matches!(err, SimError::EventLimit { .. }));
-            assert!(err.to_string().contains("oscillation"));
-        });
+        let mut nl = Netlist::new("ring");
+        let y = nl.add_net("y");
+        let g = nl.add_gate(GateKind::Not, "inv", &[y], y);
+        nl.mark_feedback(g);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
+        let err = sim.settle(100).unwrap_err();
+        assert!(matches!(err, SimError::EventLimit { .. }));
+        assert!(err.to_string().contains("oscillation"));
     }
 
     #[test]
@@ -932,19 +891,17 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_time() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("t");
-            let a = nl.add_input("a");
-            let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(1), q);
-            settle_all(&mut sim);
-            sim.set_input(a, true, 100);
-            sim.run_until(50, 1000).unwrap();
-            assert!(!sim.value(y));
-            sim.run_until(200, 1000).unwrap();
-            assert!(sim.value(y));
-        });
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
+        settle_all(&mut sim);
+        sim.set_input(a, true, 100);
+        sim.run_until(50, 1000).unwrap();
+        assert!(!sim.value(y));
+        sim.run_until(200, 1000).unwrap();
+        assert!(sim.value(y));
     }
 
     #[test]
@@ -970,28 +927,26 @@ mod tests {
 
     #[test]
     fn clamped_net_holds_against_its_driver() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("stuck");
-            let a = nl.add_input("a");
-            let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
-            let (_, z) = nl.add_gate_new(GateKind::Not, "n", &[y]);
-            nl.mark_output(z);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(2), q);
-            settle_all(&mut sim);
-            sim.clamp_net(y, false);
-            sim.set_input(a, true, 1);
-            settle_all(&mut sim);
-            assert!(!sim.value(y), "stuck-at-0 net must refuse the driver");
-            assert!(sim.value(z), "downstream logic sees the fault value");
-            // Releasing the clamp does not retroactively commit; the next
-            // driver edge does.
-            sim.unclamp_net(y);
-            sim.set_input(a, false, 1);
-            sim.set_input(a, true, 2);
-            settle_all(&mut sim);
-            assert!(sim.value(y));
-            assert!(!sim.value(z));
-        });
+        let mut nl = Netlist::new("stuck");
+        let a = nl.add_input("a");
+        let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
+        let (_, z) = nl.add_gate_new(GateKind::Not, "n", &[y]);
+        nl.mark_output(z);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(2));
+        settle_all(&mut sim);
+        sim.clamp_net(y, false);
+        sim.set_input(a, true, 1);
+        settle_all(&mut sim);
+        assert!(!sim.value(y), "stuck-at-0 net must refuse the driver");
+        assert!(sim.value(z), "downstream logic sees the fault value");
+        // Releasing the clamp does not retroactively commit; the next
+        // driver edge does.
+        sim.unclamp_net(y);
+        sim.set_input(a, false, 1);
+        sim.set_input(a, true, 2);
+        settle_all(&mut sim);
+        assert!(sim.value(y));
+        assert!(!sim.value(z));
     }
 
     #[test]
@@ -1012,29 +967,27 @@ mod tests {
 
     #[test]
     fn seu_flip_fires_and_driver_recovers() {
-        with_both_queues(|q| {
-            let mut nl = Netlist::new("seu");
-            let a = nl.add_input("a");
-            let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
-            nl.mark_output(y);
-            let mut sim = Simulator::with_queue(&nl, &FixedDelay::new(1), q);
-            settle_all(&mut sim);
-            // Upset with no driver activity: the flip lands and sticks
-            // (the buffer's inputs did not change, so nothing restores it
-            // until its input wiggles).
-            sim.schedule_flip(y, sim.now() + 5);
-            assert!(!sim.is_quiescent(), "a pending flip is a pending event");
-            assert_eq!(sim.next_event_time(), Some(5));
-            settle_all(&mut sim);
-            assert!(sim.value(y), "upset committed");
-            // The buffer saw its output contradict its input evaluation?
-            // No — gates re-evaluate only when *inputs* change; wiggle the
-            // input and the driver restores the true value.
-            sim.set_input(a, true, 1);
-            sim.set_input(a, false, 3);
-            settle_all(&mut sim);
-            assert!(!sim.value(y), "driver recovered the upset");
-        });
+        let mut nl = Netlist::new("seu");
+        let a = nl.add_input("a");
+        let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
+        nl.mark_output(y);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
+        settle_all(&mut sim);
+        // Upset with no driver activity: the flip lands and sticks
+        // (the buffer's inputs did not change, so nothing restores it
+        // until its input wiggles).
+        sim.schedule_flip(y, sim.now() + 5);
+        assert!(!sim.is_quiescent(), "a pending flip is a pending event");
+        assert_eq!(sim.next_event_time(), Some(5));
+        settle_all(&mut sim);
+        assert!(sim.value(y), "upset committed");
+        // The buffer saw its output contradict its input evaluation?
+        // No — gates re-evaluate only when *inputs* change; wiggle the
+        // input and the driver restores the true value.
+        sim.set_input(a, true, 1);
+        sim.set_input(a, false, 3);
+        settle_all(&mut sim);
+        assert!(!sim.value(y), "driver recovered the upset");
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! corrupts once the fault exceeds its matched-delay slack).
 //!
 //! Campaigns are embarrassingly parallel and byte-identical at any
-//! thread count: workers pull fault indices from an atomic cursor and
-//! write results into per-index slots; trace events are emitted by the
-//! coordinator in fault order after the joins.
+//! thread count: the coordinating thread and `threads − 1` spawned
+//! workers pull fault indices from one atomic cursor, and the
+//! coordinator scatters the results into per-index slots; trace events
+//! are emitted by the coordinator in fault order after the joins.
 
 use crate::agents::{
     build_agents, collect_report, drive_agents, token_run, TokenRunError, TokenRunOptions,
@@ -198,7 +199,8 @@ pub struct CampaignOptions {
     pub max_delay_sites: usize,
     /// Delay multipliers swept per slowed gate, in increasing order.
     pub delay_mults: Vec<u64>,
-    /// Worker threads (results are byte-identical at any value).
+    /// Threads running faults, the calling thread included (results
+    /// are byte-identical at any value).
     pub threads: usize,
 }
 
@@ -495,7 +497,7 @@ pub fn token_run_faulted(
         }
         _ => model,
     };
-    let mut sim = Simulator::with_queue(netlist, model, opts.queue);
+    let mut sim = Simulator::new(netlist, model);
     match *fault {
         Fault::StuckAt { net, value } => sim.clamp_net(net, value),
         Fault::Seu { net, at } => sim.schedule_flip(net, at),
@@ -583,57 +585,35 @@ pub fn run_campaign_traced(
     let n = faults.len();
     let mut slots: Vec<Option<Result<(FaultOutcome, u64), TokenRunError>>> = Vec::new();
     slots.resize_with(n, || None);
-    let threads = opts.threads.max(1).min(n.max(1));
-    if threads == 1 {
-        for (slot, fault) in slots.iter_mut().zip(&faults) {
-            *slot = Some(classify(
-                token_run_faulted(netlist, model, inputs, &opts.run, fault),
-                &reference,
-            ));
+    // One worker loop at every thread count: an atomic cursor hands out
+    // fault indices, each worker — the coordinator included — collects
+    // (index, result) pairs, and the coordinator scatters them into
+    // per-index slots, so the result is a pure function of the fault
+    // list, never of scheduling. A one-thread campaign spawns nothing.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(fault) = faults.get(i) else {
+                break;
+            };
+            let run = token_run_faulted(netlist, model, inputs, &opts.run, fault);
+            local.push((i, classify(run, &reference)));
         }
-    } else {
-        // PR-4 worker-pool discipline: an atomic cursor hands out fault
-        // indices, each worker collects (index, result) pairs, and the
-        // coordinator scatters them into per-index slots — the result
-        // is a pure function of the fault list, never of scheduling.
-        let cursor = AtomicUsize::new(0);
-        let reference = &reference;
-        let faults_ref = &faults;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                classify(
-                                    token_run_faulted(
-                                        netlist,
-                                        model,
-                                        inputs,
-                                        &opts.run,
-                                        &faults_ref[i],
-                                    ),
-                                    reference,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, r) in handle.join().expect("campaign worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-    }
+        local
+    };
+    let spawned = opts.threads.clamp(1, n.max(1)) - 1;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in handles {
+            done.extend(handle.join().expect("campaign worker panicked"));
+        }
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+    });
 
     let mut results = Vec::with_capacity(n);
     for (fault, slot) in faults.iter().zip(slots) {

@@ -48,7 +48,7 @@ pub mod diagnose;
 pub mod ditest;
 pub mod engine;
 pub mod faults;
-pub mod queue;
+mod queue;
 pub mod settle;
 pub mod trace;
 pub mod vcd;
@@ -62,5 +62,4 @@ pub use faults::{
     default_stimulus, run_campaign, run_campaign_traced, CampaignOptions, Fault, FaultOutcome,
     FaultReport, FaultResult, KindSummary, FAULT_KINDS,
 };
-pub use queue::{QueueDepthStats, QueueKind};
 pub use trace::Trace;

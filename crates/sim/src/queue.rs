@@ -1,27 +1,23 @@
-//! Pending-event storage for the simulator, behind one API with two
-//! interchangeable backends:
+//! Pending-event storage for the simulator: a two-level bucketed timing
+//! wheel (256 near slots of one time unit, 256 far slots of 256 units,
+//! heap overflow beyond the 65 536-unit horizon) with bitmap occupancy
+//! so empty time is skipped in `O(word)` steps.
 //!
-//! * [`QueueKind::Heap`] — a `BinaryHeap` ordered by `(time, seq)`; and
-//! * [`QueueKind::Wheel`] — a two-level bucketed timing wheel (256 near
-//!   slots of one time unit, 256 far slots of 256 units, heap overflow
-//!   beyond the 65 536-unit horizon) with bitmap occupancy so empty time
-//!   is skipped in `O(word)` steps.
+//! Events leave in exactly `(time, seq)` order. Buckets need almost no
+//! sorting: `seq` is globally monotone and pushes append, so a bucket is
+//! seq-sorted unless an older event joins it late — an overflow event
+//! pulled back within the horizon, or a far event promoted into a near
+//! bucket that already holds same-time events pushed after it went far.
+//! Both paths restore the order. The tests below check it against a
+//! `BinaryHeap` oracle on seeded random schedules, and
+//! `tests/equivalence.rs` pins the simulator's observable behaviour
+//! with goldens.
 //!
-//! Both backends deliver events in exactly `(time, seq)` order, so the
-//! simulator is observably identical under either (the equivalence
-//! regression in `tests/equivalence.rs` pins this). The wheel needs no
-//! per-bucket sorting: `seq` is globally monotone and pushes append, so
-//! every bucket is already seq-sorted, and far→near refills preserve
-//! order.
-//!
-//! Benchmarked head-to-head on the `sim_throughput` token workloads
-//! (`BENCH_sim.json` carries the numbers): the wheel beats the heap by
-//! ~15–25% even at the paper-scale FIFOs' small in-flight counts —
-//! handshake timelines are dense, so the next occupied slot is found in
-//! one or two bitmap words while the heap pays `log n` compare-and-move
-//! chains on every push/pop. The wheel is therefore
-//! [`QueueKind::default`]; the heap remains available as the simpler
-//! reference implementation and for extremely sparse timelines.
+//! The wheel replaced a `BinaryHeap` queue: on the token-throughput
+//! workloads it was ~15–25% faster even at the paper-scale FIFOs' small
+//! in-flight counts — handshake timelines are dense, so the next
+//! occupied slot is found in one or two bitmap words while the heap pays
+//! `log n` compare-and-move chains on every push/pop.
 
 use crate::engine::SimTime;
 use msaf_netlist::NetId;
@@ -49,105 +45,12 @@ impl PartialOrd for Ev {
     }
 }
 
-/// Which backend a [`crate::Simulator`] uses for its pending events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Binary heap — the simple reference backend.
-    Heap,
-    /// Two-level timing wheel — O(1) push/pop; the benchmarked winner on
-    /// the token-throughput workloads (see module docs), and the default.
-    #[default]
-    Wheel,
-}
-
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    Heap(BinaryHeap<Reverse<Ev>>),
-    // Boxed: the wheel carries several KiB of inline slot arrays.
-    Wheel(Box<Wheel>),
-}
-
-impl EventQueue {
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(64)),
-            QueueKind::Wheel => EventQueue::Wheel(Box::new(Wheel::new())),
-        }
-    }
-
-    /// Schedules `ev`. `ev.time` must be ≥ the time of every event already
-    /// popped (the simulator never schedules into the past) and `ev.seq`
-    /// must be globally monotone across pushes.
-    #[inline]
-    pub fn push(&mut self, ev: Ev) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-            EventQueue::Wheel(w) => w.push(ev),
-        }
-    }
-
-    /// Earliest pending event time, if any. O(1).
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|&Reverse(ev)| ev.time),
-            EventQueue::Wheel(w) => w.min_time,
-        }
-    }
-
-    /// Pops the next event iff it is scheduled exactly at `t`.
-    #[inline]
-    pub fn pop_at(&mut self, t: SimTime) -> Option<Ev> {
-        match self {
-            EventQueue::Heap(h) => {
-                if h.peek().is_some_and(|&Reverse(ev)| ev.time == t) {
-                    h.pop().map(|Reverse(ev)| ev)
-                } else {
-                    None
-                }
-            }
-            EventQueue::Wheel(w) => w.pop_at(t),
-        }
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Heap(h) => h.is_empty(),
-            EventQueue::Wheel(w) => w.len == 0,
-        }
-    }
-
-    /// Pending events right now (both backends).
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Wheel(w) => w.len,
-        }
-    }
-
-    /// Per-level occupancy high-water marks. `None` for the heap
-    /// backend, which has no levels (the simulator tracks the total
-    /// high-water itself via [`EventQueue::len`]).
-    pub fn depth_stats(&self) -> Option<QueueDepthStats> {
-        match self {
-            EventQueue::Heap(_) => None,
-            EventQueue::Wheel(w) => Some(QueueDepthStats {
-                high_water_near: w.hw_near,
-                high_water_far: w.hw_far,
-                high_water_overflow: w.hw_overflow,
-            }),
-        }
-    }
-}
-
 /// Peak simultaneous occupancy of each wheel level over the queue's
 /// lifetime — the observables that show which level absorbs a
 /// workload's in-flight events (dense handshake timelines should live
 /// almost entirely in the near wheel).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueDepthStats {
+pub(crate) struct QueueDepthStats {
     /// Near wheel (one-unit slots, 256-unit window).
     pub high_water_near: usize,
     /// Far wheel (256-unit slots, 65 536-unit horizon).
@@ -202,7 +105,7 @@ pub(crate) struct Wheel {
 const NONE: u32 = u32::MAX;
 
 impl Wheel {
-    fn new() -> Self {
+    pub fn new() -> Self {
         Self {
             slab: Vec::with_capacity(64),
             free: NONE,
@@ -271,7 +174,10 @@ impl Wheel {
         self.hw_far = self.hw_far.max(self.far_len);
     }
 
-    fn push(&mut self, ev: Ev) {
+    /// Schedules `ev`. `ev.time` must be ≥ the time of every event already
+    /// popped (the simulator never schedules into the past) and `ev.seq`
+    /// must be globally monotone across pushes.
+    pub fn push(&mut self, ev: Ev) {
         debug_assert!(ev.time >= self.base, "scheduling into the past");
         let dt = ev.time - self.base;
         if dt < HORIZON {
@@ -291,7 +197,34 @@ impl Wheel {
         }
     }
 
-    fn pop_at(&mut self, t: SimTime) -> Option<Ev> {
+    /// Earliest pending event time, if any. O(1).
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.min_time
+    }
+
+    /// Pending events right now.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Per-level occupancy high-water marks.
+    pub fn depth_stats(&self) -> QueueDepthStats {
+        QueueDepthStats {
+            high_water_near: self.hw_near,
+            high_water_far: self.hw_far,
+            high_water_overflow: self.hw_overflow,
+        }
+    }
+
+    /// Pops the next event iff it is scheduled exactly at `t`.
+    pub fn pop_at(&mut self, t: SimTime) -> Option<Ev> {
         if self.min_time != Some(t) {
             return None;
         }
@@ -353,7 +286,18 @@ impl Wheel {
                     // The node leaves its far bucket; link_* re-counts it.
                     self.far_len -= 1;
                     if time - self.base < NEAR as u64 {
+                        // The near bucket may already hold same-time
+                        // events pushed after this one went far (once
+                        // their time came within the near window); those
+                        // carry larger seqs, so restore seq order.
+                        let slot = (time % NEAR as u64) as usize;
+                        let tail = self.near_tail[slot];
                         self.link_near(idx);
+                        if tail != NONE
+                            && self.slab[tail as usize].0.seq > self.slab[idx as usize].0.seq
+                        {
+                            self.resort_near(slot);
+                        }
                     } else {
                         // Same far slot, next lap (rare).
                         self.link_far(idx);
@@ -475,13 +419,16 @@ impl Wheel {
                 break;
             }
         }
-        if best.is_none() {
-            // Far: earliest occupied 256-window after the near window.
-            let cur = self.base / NEAR as u64;
+        // Far: earliest occupied 256-window after the current one. Far
+        // events all lie past the current window, but the near window
+        // reaches into the next one, so a far event can still precede
+        // the near minimum when that minimum lies past the window's end.
+        let cur = self.base / NEAR as u64;
+        if self.far_len > 0 && best.is_none_or(|b| b >= (cur + 1) * NEAR as u64) {
             for woff in 1..=FAR as u64 {
                 let fslot = ((cur + woff) % FAR as u64) as usize;
                 if self.far_occ[fslot / 64] & (1 << (fslot % 64)) != 0 {
-                    let mut m = u64::MAX;
+                    let mut m = best.unwrap_or(u64::MAX);
                     let mut idx = self.far_head[fslot];
                     while idx != NONE {
                         m = m.min(self.slab[idx as usize].0.time);
@@ -504,6 +451,8 @@ impl Wheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ev(time: u64, seq: u64) -> Ev {
         Ev {
@@ -515,7 +464,7 @@ mod tests {
     }
 
     /// Drains `q` fully, returning (time, seq) pairs in pop order.
-    fn drain(q: &mut EventQueue) -> Vec<(u64, u64)> {
+    fn drain(q: &mut Wheel) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(t) = q.peek_time() {
             while let Some(e) = q.pop_at(t) {
@@ -525,81 +474,125 @@ mod tests {
         out
     }
 
+    /// The wheel against a `BinaryHeap` oracle, driven the way the
+    /// simulator drives its queue: pushes never precede the last popped
+    /// time, some land at the current time right after a pop (a
+    /// zero-delay input), some reuse an earlier push's time (same-time
+    /// events across levels), some land past the 65 536-unit horizon,
+    /// and every timestep drains with `pop_at(peek_time)`.
     #[test]
-    fn both_backends_agree_on_order() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            let times = [5u64, 1, 1, 300, 70000, 260, 2, 5, 65536 + 7, 513];
-            for (seq, &t) in times.iter().enumerate() {
-                q.push(ev(t, seq as u64));
+    fn wheel_matches_heap_oracle_on_random_schedules() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut wheel = Wheel::new();
+            let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut times: Vec<u64> = Vec::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            let mut push = |wheel: &mut Wheel, oracle: &mut BinaryHeap<_>, time: u64| {
+                wheel.push(ev(time, seq));
+                oracle.push(Reverse((time, seq)));
+                seq += 1;
+            };
+            for _ in 0..1_000 {
+                for _ in 0..rng.random_range(0..4u32) {
+                    let time = match rng.random_range(0..16u32) {
+                        0 => now,
+                        1..=2 => match times.get(rng.random_range(0..times.len().max(1))) {
+                            Some(&t) if t >= now => t,
+                            _ => now + 1,
+                        },
+                        3..=9 => now + rng.random_range(1..NEAR as u64),
+                        10..=13 => now + rng.random_range(NEAR as u64..HORIZON),
+                        _ => now + rng.random_range(HORIZON..4 * HORIZON),
+                    };
+                    times.push(time);
+                    push(&mut wheel, &mut oracle, time);
+                }
+                assert_eq!(wheel.len(), oracle.len(), "seed {seed}");
+                assert_eq!(
+                    wheel.peek_time(),
+                    oracle.peek().map(|&Reverse((t, _))| t),
+                    "seed {seed}"
+                );
+                if rng.random_range(0..3u32) == 0 {
+                    continue;
+                }
+                let Some(t) = wheel.peek_time() else {
+                    continue;
+                };
+                now = t;
+                while let Some(e) = wheel.pop_at(t) {
+                    let Reverse(want) = oracle.pop().expect("oracle has the event");
+                    assert_eq!((e.time, e.seq), want, "seed {seed}");
+                    if rng.random_range(0..8u32) == 0 {
+                        push(&mut wheel, &mut oracle, now);
+                    }
+                }
             }
-            let got = drain(&mut q);
-            let mut want: Vec<(u64, u64)> = times
-                .iter()
-                .enumerate()
-                .map(|(s, &t)| (t, s as u64))
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "{kind:?}");
-            assert!(q.is_empty());
+            let rest: Vec<_> = std::iter::from_fn(|| oracle.pop().map(|Reverse(p)| p)).collect();
+            assert_eq!(drain(&mut wheel), rest, "seed {seed}");
+            assert!(wheel.is_empty());
         }
+    }
+
+    #[test]
+    fn far_event_pops_before_a_later_same_time_near_push() {
+        let mut q = Wheel::new();
+        q.push(ev(300, 0)); // 300 units ahead: far wheel
+        q.push(ev(100, 1));
+        assert_eq!(q.pop_at(100).unwrap().seq, 1);
+        q.push(ev(300, 2)); // now 200 units ahead: near wheel
+        assert_eq!(drain(&mut q), vec![(300, 0), (300, 2)]);
+    }
+
+    #[test]
+    fn far_event_before_the_near_minimum_pops_first() {
+        let mut q = Wheel::new();
+        q.push(ev(300, 0)); // 300 units ahead: far wheel
+        q.push(ev(100, 1));
+        q.push(ev(200, 2));
+        assert_eq!(q.pop_at(100).unwrap().seq, 1);
+        q.push(ev(320, 3)); // now 220 units ahead: near wheel
+        assert_eq!(q.pop_at(200).unwrap().seq, 2);
+        assert_eq!(q.peek_time(), Some(300));
+        assert_eq!(drain(&mut q), vec![(300, 0), (320, 3)]);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            let mut seq = 0u64;
-            let push = |q: &mut EventQueue, t: u64, seq: &mut u64| {
-                q.push(ev(t, *seq));
-                *seq += 1;
-            };
-            push(&mut q, 10, &mut seq);
-            push(&mut q, 500, &mut seq);
-            let t = q.peek_time().unwrap();
-            assert_eq!(t, 10);
-            assert_eq!(q.pop_at(t).unwrap().time, 10);
-            assert!(q.pop_at(t).is_none());
-            // Schedule more from "time 10".
-            push(&mut q, 11, &mut seq);
-            push(&mut q, 100_000, &mut seq);
-            let mut order = Vec::new();
-            while let Some(t) = q.peek_time() {
-                while let Some(e) = q.pop_at(t) {
-                    order.push(e.time);
-                }
-            }
-            assert_eq!(order, vec![11, 500, 100_000], "{kind:?}");
-        }
+        let mut q = Wheel::new();
+        q.push(ev(10, 0));
+        q.push(ev(500, 1));
+        let t = q.peek_time().unwrap();
+        assert_eq!(t, 10);
+        assert_eq!(q.pop_at(t).unwrap().time, 10);
+        assert!(q.pop_at(t).is_none());
+        // Schedule more from "time 10".
+        q.push(ev(11, 2));
+        q.push(ev(100_000, 3));
+        let order: Vec<u64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, vec![11, 500, 100_000]);
     }
 
     #[test]
     fn same_time_pops_in_seq_order() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            for s in 0..50u64 {
-                q.push(ev(42, s));
-            }
-            let got = drain(&mut q);
-            assert_eq!(
-                got,
-                (0..50).map(|s| (42, s)).collect::<Vec<_>>(),
-                "{kind:?}"
-            );
+        let mut q = Wheel::new();
+        for s in 0..50u64 {
+            q.push(ev(42, s));
         }
+        assert_eq!(drain(&mut q), (0..50).map(|s| (42, s)).collect::<Vec<_>>());
     }
 
     #[test]
     fn depth_stats_track_per_level_high_water() {
-        let mut q = EventQueue::new(QueueKind::Wheel);
+        let mut q = Wheel::new();
         // 3 near, 2 far, 1 overflow.
         for (seq, &t) in [5u64, 6, 7, 300, 600, 70_000].iter().enumerate() {
             q.push(ev(t, seq as u64));
         }
         assert_eq!(q.len(), 6);
-        let d = q.depth_stats().unwrap();
         assert_eq!(
-            d,
+            q.depth_stats(),
             QueueDepthStats {
                 high_water_near: 3,
                 high_water_far: 2,
@@ -609,18 +602,16 @@ mod tests {
         drain(&mut q);
         // High-water marks are lifetime peaks: draining (which promotes
         // far/overflow events into the near wheel) never lowers them.
-        let d = q.depth_stats().unwrap();
+        let d = q.depth_stats();
         assert!(d.high_water_near >= 3);
         assert_eq!(d.high_water_far, 2);
         assert_eq!(d.high_water_overflow, 1);
         assert_eq!(q.len(), 0);
-        // The heap backend has no levels.
-        assert!(EventQueue::new(QueueKind::Heap).depth_stats().is_none());
     }
 
     #[test]
     fn wheel_handles_push_at_current_time() {
-        let mut q = EventQueue::new(QueueKind::Wheel);
+        let mut q = Wheel::new();
         q.push(ev(100, 0));
         assert_eq!(q.peek_time(), Some(100));
         assert!(q.pop_at(100).is_some());

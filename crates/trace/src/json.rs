@@ -7,7 +7,8 @@
 //! without declaring its shape up front. This recursive-descent parser
 //! produces a generic [`JsonValue`] tree for that. It accepts strict
 //! JSON (RFC 8259): no comments, no trailing commas, no NaN/Infinity —
-//! exactly what the writer emits and what Perfetto accepts.
+//! exactly what the writer emits and what Perfetto accepts — nested at
+//! most [`MAX_DEPTH`] arrays or objects deep.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -85,16 +86,25 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts: the
+/// `serde_json` crate's recursion limit. The parser spends one stack
+/// frame per level, so without a limit a request body of `[` bytes
+/// overflows the parsing thread's stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing non-whitespace is an
 /// error.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including the first array or object nested deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -108,6 +118,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -148,8 +160,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!(
+                        "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or objects"
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -502,6 +527,32 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_stops_at_max_depth_with_a_named_error() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"k\":".repeat(depth) + "1" + &"}".repeat(depth);
+        for nested in [arrays, objects] {
+            assert!(parse(&nested(MAX_DEPTH)).is_ok());
+            let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+            assert!(
+                err.msg
+                    .starts_with("recursion limit exceeded: more than 128 nested"),
+                "{err}"
+            );
+        }
+        // Far past the limit, on a thread with the default 2 MiB stack
+        // (a server worker's): a named error, not a stack overflow.
+        let hostile = "[".repeat(100_000);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&hostile))
+            .expect("spawn")
+            .join()
+            .expect("parser thread survives")
+            .expect_err("rejected");
+        assert_eq!(err.at, MAX_DEPTH);
     }
 
     #[test]

@@ -54,9 +54,15 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
 ///
 /// Malformed JSON or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    Ok(T::from_value(&parse(s)?)?)
+}
+
+/// Parses one complete JSON document into the shim's value tree.
+fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -64,7 +70,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    Ok(T::from_value(&v)?)
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -162,9 +168,16 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects `from_str` accepts — the real
+/// `serde_json`'s recursion limit. The parser spends one stack frame
+/// per level, so without a limit deep input overflows the stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -201,8 +214,22 @@ impl Parser<'_> {
             Some(b't') => self.parse_lit("true", Value::Bool(true)),
             Some(b'f') => self.parse_lit("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(Error(format!(
+                        "recursion limit exceeded: more than {RECURSION_LIMIT} nested arrays or objects at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -448,6 +475,32 @@ mod tests {
             "a {} byte string took {elapsed:?}",
             body.len()
         );
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"k\":".repeat(depth) + "1" + &"}".repeat(depth);
+        for nested in [arrays, objects] {
+            assert!(parse(&nested(RECURSION_LIMIT)).is_ok());
+            let err = parse(&nested(RECURSION_LIMIT + 1)).expect_err("too deep");
+            assert!(
+                err.0
+                    .starts_with("recursion limit exceeded: more than 128 nested"),
+                "{err}"
+            );
+        }
+        // Far past the limit, on a thread with the default 2 MiB stack:
+        // a named error, not a stack overflow.
+        let hostile = "[".repeat(100_000);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&hostile))
+            .expect("spawn")
+            .join()
+            .expect("parser thread survives")
+            .expect_err("rejected");
+        assert!(err.0.ends_with("at byte 128"), "{err}");
     }
 
     #[test]

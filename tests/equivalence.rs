@@ -5,12 +5,13 @@
 //! The golden values below were captured from the original engine
 //! (per-event `Vec` collects, `HashSet` lazy cancellation, `BinaryHeap`
 //! only) on the two token-throughput workloads, immediately before the
-//! rewrite. Any drift in committed event counts, glitch counts, output
-//! tokens, or quiescence time means the rewrite changed semantics — fail
+//! rewrite, and — for the random-delay stress — from the last engine
+//! that still carried the heap queue beside the wheel, with both queues
+//! agreeing. Any drift in committed event counts, glitch counts, output
+//! tokens, or quiescence time means the engine changed semantics — fail
 //! loudly.
 
 use msaf::prelude::*;
-use msaf::sim::QueueKind;
 use std::collections::BTreeMap;
 
 /// The bench input stream: 32 tokens of `(i * 7 + 3) & 0xF`.
@@ -30,95 +31,73 @@ const GOLDEN_TOKENS: [u64; 32] = [
     7, 14, 5, 12,
 ];
 
-fn run(netlist: &Netlist, queue: QueueKind) -> msaf::sim::agents::TokenRunReport {
-    let opts = TokenRunOptions {
-        queue,
-        ..TokenRunOptions::default()
-    };
-    token_run(netlist, &PerKindDelay::new(), &inputs(), &opts).expect("workload runs")
+fn run(netlist: &Netlist) -> msaf::sim::agents::TokenRunReport {
+    token_run(
+        netlist,
+        &PerKindDelay::new(),
+        &inputs(),
+        &TokenRunOptions::default(),
+    )
+    .expect("workload runs")
 }
 
 #[test]
 fn wchb_fifo_matches_pre_optimization_engine() {
     // Captured from the pre-rewrite engine: events=3908, glitches=0,
     // end_time=1291.
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        let report = run(&wchb_fifo(4, 4), queue);
-        assert_eq!(report.events, 3908, "{queue:?}: event count drifted");
-        assert_eq!(report.glitches, 0, "{queue:?}: glitch count drifted");
-        assert_eq!(report.end_time, 1291, "{queue:?}: quiescence time drifted");
-        assert_eq!(
-            report.outputs["out"].values(),
-            GOLDEN_TOKENS,
-            "{queue:?}: output tokens drifted"
-        );
-        assert!(
-            report.violations.is_empty(),
-            "{queue:?}: protocol violation"
-        );
-    }
+    let report = run(&wchb_fifo(4, 4));
+    assert_eq!(report.events, 3908, "event count drifted");
+    assert_eq!(report.glitches, 0, "glitch count drifted");
+    assert_eq!(report.end_time, 1291, "quiescence time drifted");
+    assert_eq!(
+        report.outputs["out"].values(),
+        GOLDEN_TOKENS,
+        "output tokens drifted"
+    );
+    assert!(report.violations.is_empty(), "protocol violation");
 }
 
 #[test]
 fn bundled_fifo_matches_pre_optimization_engine() {
     // Captured from the pre-rewrite engine: events=1868, glitches=0,
     // end_time=1788.
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        let report = run(&bundled_fifo(4, 4, 16), queue);
-        assert_eq!(report.events, 1868, "{queue:?}: event count drifted");
-        assert_eq!(report.glitches, 0, "{queue:?}: glitch count drifted");
-        assert_eq!(report.end_time, 1788, "{queue:?}: quiescence time drifted");
-        assert_eq!(
-            report.outputs["out"].values(),
-            GOLDEN_TOKENS,
-            "{queue:?}: output tokens drifted"
-        );
-        assert!(
-            report.violations.is_empty(),
-            "{queue:?}: protocol violation"
-        );
-    }
+    let report = run(&bundled_fifo(4, 4, 16));
+    assert_eq!(report.events, 1868, "event count drifted");
+    assert_eq!(report.glitches, 0, "glitch count drifted");
+    assert_eq!(report.end_time, 1788, "quiescence time drifted");
+    assert_eq!(
+        report.outputs["out"].values(),
+        GOLDEN_TOKENS,
+        "output tokens drifted"
+    );
+    assert!(report.violations.is_empty(), "protocol violation");
 }
 
+/// Quiescence time per seed of the random-delay stress below. Every run
+/// commits 230 events with no glitch and delivers the input stream.
+const DI_STRESS_END_TIMES: [u64; 12] = [
+    1278, 1227, 1205, 1007, 912, 1048, 907, 991, 958, 751, 1190, 893,
+];
+
 #[test]
-fn queue_backends_agree_on_di_stress() {
-    // Beyond the golden workloads: both queue backends must agree event-
-    // for-event under adversarial random delays too (12 seeds).
+fn di_stress_matches_goldens() {
+    // Beyond the golden workloads: a WCHB FIFO under adversarial random
+    // delays (12 seeds) must keep its pinned event count, glitch count,
+    // quiescence time and output tokens.
     let nl = wchb_fifo(2, 2);
+    let tokens = vec![1, 2, 3, 0, 3, 1];
     let mut ins = BTreeMap::new();
-    ins.insert("in".to_string(), vec![1, 2, 3, 0, 3, 1]);
-    for seed in 0..12u64 {
+    ins.insert("in".to_string(), tokens.clone());
+    for (seed, end_time) in (0..12u64).zip(DI_STRESS_END_TIMES) {
         let model = RandomDelay::new(seed, 1, 25);
-        let heap = token_run(
-            &nl,
-            &model,
-            &ins,
-            &TokenRunOptions {
-                queue: QueueKind::Heap,
-                ..TokenRunOptions::default()
-            },
-        )
-        .expect("heap run");
-        let wheel = token_run(
-            &nl,
-            &model,
-            &ins,
-            &TokenRunOptions {
-                queue: QueueKind::Wheel,
-                ..TokenRunOptions::default()
-            },
-        )
-        .expect("wheel run");
-        assert_eq!(heap.events, wheel.events, "seed {seed}: events diverged");
+        let report = token_run(&nl, &model, &ins, &TokenRunOptions::default()).expect("stress run");
+        assert_eq!(report.events, 230, "seed {seed}: events drifted");
+        assert_eq!(report.glitches, 0, "seed {seed}: glitches drifted");
+        assert_eq!(report.end_time, end_time, "seed {seed}: time drifted");
         assert_eq!(
-            heap.glitches, wheel.glitches,
-            "seed {seed}: glitches diverged"
-        );
-        assert_eq!(heap.end_time, wheel.end_time, "seed {seed}: time diverged");
-        assert_eq!(
-            heap.outputs["out"].values(),
-            wheel.outputs["out"].values(),
-            "seed {seed}: tokens diverged"
+            report.outputs["out"].values(),
+            tokens,
+            "seed {seed}: tokens drifted"
         );
     }
 }
