@@ -5,7 +5,9 @@ use crate::checkpoint;
 use crate::pack::{pack, PackError, PackedDesign};
 use crate::place::{place_traced, PlaceError, PlaceOptions, Placement};
 use crate::report::FlowReport;
-use crate::route::{route_traced, RouteError, RouteOptions, RoutingResult};
+use crate::route::{
+    route_traced, RouteError, RouteOptions, RoutingResult, HIST_FAC, PRES_FAC_MULT,
+};
 use crate::techmap::{map, MapError, MappedDesign};
 use crate::timing::{RouteTimingCtx, TimingGraph, TimingReport, TimingSummary};
 use msaf_artifact::digest::{fnv1a, Fnv64};
@@ -17,7 +19,7 @@ use msaf_fabric::bitstream::FabricConfig;
 use msaf_fabric::rrg::Rrg;
 use msaf_fabric::utilization::Utilization;
 use msaf_netlist::Netlist;
-use msaf_trace::{Metrics, Tracer};
+use msaf_trace::Tracer;
 
 /// Options for [`compile`].
 #[derive(Debug, Clone)]
@@ -397,15 +399,7 @@ fn compile_inner(
     let route = cache.run(
         Stage::Route,
         |key| {
-            // Thread count is excluded from the key: routing results
-            // are byte-identical at any thread count (the determinism
-            // contract pinned by tests/trace_determinism.rs), so it
-            // must not fragment the cache. Everything else in the
-            // options — including `chunk`, which changes the recorded
-            // negotiation statistics — feeds in.
-            let mut keyed = opts.route;
-            keyed.threads = 1;
-            key.write_str(&format!("{keyed:?}"));
+            key.write_str(&route_key(&opts.route));
             key.write_str(&format!("{:?}", opts.channel_width));
         },
         |art: RouteArtifact| {
@@ -452,28 +446,6 @@ fn compile_inner(
     let utilization = Utilization::of(&config);
     drop(bitgen_span);
 
-    // Effort observables as a typed counter map. Sourced exclusively
-    // from the deterministic result structs (never the trace recorder),
-    // so the map is identical with tracing on or off.
-    let mut metrics = Metrics::new();
-    metrics.set("flow.source_gates", netlist.gates().len() as u64);
-    metrics.set("flow.les", mapped.les.len() as u64);
-    metrics.set("flow.pdes", mapped.pdes.len() as u64);
-    metrics.set("flow.plbs", packed.plb_count() as u64);
-    metrics.set("place.moves_attempted", placement.stats.moves_attempted);
-    metrics.set("place.moves_accepted", placement.stats.moves_accepted);
-    metrics.set("route.iterations", routed.iterations as u64);
-    metrics.set("route.nodes_popped", routed.stats.nodes_popped);
-    metrics.set("route.ripups", routed.stats.ripups);
-    metrics.set("route.conflict_colors", routed.stats.conflict_colors);
-    metrics.set("route.max_class", routed.stats.max_class);
-    metrics.set("route.wirelength", config.total_wirelength() as u64);
-    metrics.set(
-        "timing.critical_delay",
-        route.summary.post_route_critical_delay,
-    );
-    metrics.set("timing.worst_slack", route.summary.worst_slack);
-
     let report = FlowReport {
         design: netlist.name().to_string(),
         arch: arch.name.clone(),
@@ -493,8 +465,11 @@ fn compile_inner(
         plbs: packed.plb_count(),
         grid: (arch.width, arch.height),
         place_cost: placement.cost,
+        place_moves_attempted: placement.stats.moves_attempted,
+        place_moves_accepted: placement.stats.moves_accepted,
         route_iterations: routed.iterations,
         route_ripups: routed.stats.ripups,
+        route_nodes_popped: routed.stats.nodes_popped,
         route_colors: routed.stats.conflict_colors,
         route_max_class: routed.stats.max_class,
         wirelength: config.total_wirelength(),
@@ -505,7 +480,6 @@ fn compile_inner(
         utilization,
         timing: route.timing,
         timing_summary: route.summary,
-        metrics,
     };
 
     Ok((
@@ -519,6 +493,33 @@ fn compile_inner(
         },
         cache.report,
     ))
+}
+
+/// The route stage's key text: every option that can change a routing
+/// result, spelled as `{:?}` printed `RouteOptions` when the PathFinder
+/// constants and uniform base costs were still fields of it, so the
+/// store keys written then still hit. The destructuring is exhaustive:
+/// a new option fails to compile here until it joins the key.
+///
+/// Thread count is left out: routing results are byte-identical at any
+/// thread count (the determinism contract pinned by
+/// tests/trace_determinism.rs), so it must not fragment the cache.
+/// `chunk` feeds in, because it changes the recorded negotiation
+/// statistics.
+fn route_key(opts: &RouteOptions) -> String {
+    let RouteOptions {
+        max_iterations,
+        astar_fac,
+        threads: _,
+        chunk,
+        timing_fac,
+    } = *opts;
+    format!(
+        "RouteOptions {{ max_iterations: {max_iterations:?}, pres_fac_mult: {PRES_FAC_MULT:?}, \
+         hist_fac: {HIST_FAC:?}, astar_fac: {astar_fac:?}, \
+         base: BaseCosts {{ hwire: 1.0, vwire: 1.0, pin: 1.0, pad: 1.0 }}, threads: 1, \
+         chunk: {chunk:?}, timing_fac: {timing_fac:?} }}"
+    )
 }
 
 /// Routes at `arch`'s channel width, doubling it on congestion failure
@@ -783,6 +784,36 @@ mod tests {
                 "v1:pack:73155f47184cf743",
                 "v1:place:1149e7c1ce0157a7",
                 "v1:route:633f2bb2337b4a14",
+            ]
+        );
+    }
+
+    #[test]
+    fn cache_keys_of_non_default_route_options_are_pinned() {
+        use msaf_artifact::MemStore;
+
+        // Every route option at a non-default value: the route key text
+        // must spell each one as the options' `Debug` output once did.
+        let store = MemStore::new();
+        let mut opts = FlowOptions {
+            seed: 3,
+            channel_width: Some(24),
+            ..FlowOptions::default()
+        };
+        opts.route.max_iterations = 7;
+        opts.route.astar_fac = 0.0;
+        opts.route.chunk = 1;
+        opts.route.timing_fac = 0.5;
+        compile_cached(&qdi_full_adder(), &opts, &store, 7).unwrap();
+        let mut keys = store.keys();
+        keys.sort();
+        assert_eq!(
+            keys,
+            [
+                "v1:bitgen:a552991a91cf2902",
+                "v1:pack:73155f47184cf743",
+                "v1:place:8407d04673c4bb65",
+                "v1:route:b4d2dca07b6b8915",
             ]
         );
     }

@@ -5,7 +5,6 @@
 use crate::timing::{TimingReport, TimingSummary};
 use msaf_fabric::utilization::Utilization;
 use msaf_trace::json::JsonWriter;
-use msaf_trace::Metrics;
 use std::fmt;
 
 /// Summary of one complete compile.
@@ -31,10 +30,16 @@ pub struct FlowReport {
     pub grid: (usize, usize),
     /// Final placement cost (HPWL).
     pub place_cost: f64,
+    /// Annealing moves proposed.
+    pub place_moves_attempted: u64,
+    /// Annealing moves accepted.
+    pub place_moves_accepted: u64,
     /// Router iterations to congestion-free.
     pub route_iterations: usize,
     /// Nets ripped up and rerouted after the first iteration.
     pub route_ripups: u64,
+    /// Heap pops across every search of the routing run.
+    pub route_nodes_popped: u64,
     /// Conflict-graph color classes the colored negotiation ran across
     /// all congested iterations (0 when the run never congested or ran
     /// with `chunk = 1`).
@@ -61,13 +66,6 @@ pub struct FlowReport {
     /// slack and the per-net criticality histogram from the routing
     /// run's timing context.
     pub timing_summary: TimingSummary,
-    /// Typed counter map of the flow's effort observables (router pops
-    /// and rip-ups, annealing moves, wirelength, ...): everything above
-    /// that is an integer, in one machine-readable place. Populated
-    /// identically whether or not a trace sink is installed — metrics
-    /// come from the deterministic result structs, never from the
-    /// recorder.
-    pub metrics: Metrics,
 }
 
 impl FlowReport {
@@ -76,6 +74,30 @@ impl FlowReport {
     #[must_use]
     pub fn filling_ratio(&self) -> f64 {
         self.utilization.filling.input_pin
+    }
+
+    /// The flow's effort counters under their `metrics` names, in name
+    /// order: the `metrics` object of [`Self::to_json`] and the
+    /// `metrics` line of the `Display` table. Every entry is a field
+    /// above, so the counters are identical with tracing on or off.
+    fn metrics(&self) -> [(&'static str, u64); 14] {
+        let t = &self.timing_summary;
+        [
+            ("flow.les", self.les as u64),
+            ("flow.pdes", self.pdes as u64),
+            ("flow.plbs", self.plbs as u64),
+            ("flow.source_gates", self.source_gates as u64),
+            ("place.moves_accepted", self.place_moves_accepted),
+            ("place.moves_attempted", self.place_moves_attempted),
+            ("route.conflict_colors", self.route_colors),
+            ("route.iterations", self.route_iterations as u64),
+            ("route.max_class", self.route_max_class),
+            ("route.nodes_popped", self.route_nodes_popped),
+            ("route.ripups", self.route_ripups),
+            ("route.wirelength", self.wirelength as u64),
+            ("timing.critical_delay", t.post_route_critical_delay),
+            ("timing.worst_slack", t.worst_slack),
+        ]
     }
 
     /// Renders the report as a single JSON object — the machine
@@ -156,7 +178,7 @@ impl FlowReport {
         w.end();
         w.end();
         w.begin_object("metrics");
-        for (name, value) in self.metrics.iter() {
+        for (name, value) in self.metrics() {
             w.field_u64(name, value);
         }
         w.end();
@@ -222,9 +244,11 @@ impl fmt::Display for FlowReport {
             self.timing.levels, self.timing.critical_delay
         )?;
         writeln!(f, "routed timing    : {}", self.timing_summary)?;
-        if !self.metrics.is_empty() {
-            writeln!(f, "metrics          : {}", self.metrics)?;
+        write!(f, "metrics          :")?;
+        for (name, value) in self.metrics() {
+            write!(f, " {name}={value}")?;
         }
+        writeln!(f)?;
         writeln!(f, "{}", self.utilization)?;
         Ok(())
     }
@@ -250,8 +274,11 @@ mod tests {
             plbs: 2,
             grid: (2, 2),
             place_cost: 12.5,
+            place_moves_attempted: 100,
+            place_moves_accepted: 40,
             route_iterations: 3,
             route_ripups: 6,
+            route_nodes_popped: 500,
             route_colors: 3,
             route_max_class: 4,
             wirelength: 40,
@@ -270,11 +297,6 @@ mod tests {
                 post_route_critical_delay: 12,
                 worst_slack: 3,
                 crit_histogram: [0; 10],
-            },
-            metrics: {
-                let mut m = Metrics::new();
-                m.set("route.ripups", 6);
-                m
             },
         };
         let text = report.to_string();
@@ -322,6 +344,54 @@ mod tests {
                 .unwrap()
                 .as_num(),
             Some(6.0)
+        );
+    }
+
+    #[test]
+    fn flow_report_output_is_pinned() {
+        // Every byte of both renderings, including the `metrics` object
+        // and line that are built from the typed effort fields.
+        let mut report = crate::flow::compile(
+            &msaf_cells::fulladder::qdi_full_adder(),
+            &crate::flow::FlowOptions::default(),
+        )
+        .unwrap()
+        .report;
+        report.techmap_ms = 0.0;
+        report.pack_ms = 0.0;
+        report.place_ms = 0.0;
+        report.route_ms = 0.0;
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"design":"qdi_full_adder","arch":"msaf-1x1-3x3","source_gates":12,"les":6,"les_paired":6,"lut2_used":0,"pdes":0,"plbs":3,"grid":[3,3],"#,
+                r#""place_cost":46,"route_iterations":1,"route_ripups":0,"route_colors":0,"route_max_class":0,"conflict_serial_frac":0,"wirelength":43,"#,
+                r#""techmap_ms":0,"pack_ms":0,"place_ms":0,"route_ms":0,"filling_ratio":0.8095238095238095,"#,
+                r#""utilization":{"plbs_total":9,"plbs_used":3,"les_total":18,"les_used":6,"le_input_pins_used":34,"le_outputs_used":12,"lut2_used":0,"pdes_used":0,"wirelength":43,"filling":{"input_pin":0.8095238095238095,"output_tap":0.5,"plb_slot":0.4444444444444444}},"#,
+                r#""timing":{"levels":1,"critical_delay":5,"critical_signal":"fa_sum_t_y","pre_route_critical_delay":5,"post_route_critical_delay":6,"worst_slack":0,"crit_histogram":[6,0,0,0,0,0,0,0,0,12]},"#,
+                r#""metrics":{"flow.les":6,"flow.pdes":0,"flow.plbs":3,"flow.source_gates":12,"#,
+                r#""place.moves_accepted":290,"place.moves_attempted":1519,"route.conflict_colors":0,"route.iterations":1,"route.max_class":0,"#,
+                r#""route.nodes_popped":2298,"route.ripups":0,"route.wirelength":43,"timing.critical_delay":6,"timing.worst_slack":0}}"#,
+            )
+        );
+        assert_eq!(
+            report.to_string(),
+            r"design           : qdi_full_adder
+architecture     : msaf-1x1-3x3
+source gates     : 12
+logic elements   : 6 (6 paired, 0 LUT2 used)
+PDEs             : 0
+PLBs             : 3 on a 3x3 grid
+placement HPWL   : 46.0
+routing          : 1 iterations, wirelength 43
+negotiation      : 0 ripups in 0 conflict classes (largest 0, serial fraction 0.00)
+stage times      : techmap 0.00 ms, pack 0.00 ms, place 0.00 ms, route 0.00 ms
+timing           : 1 levels, critical delay 5
+routed timing    : critical delay 5 pre-route / 6 routed, worst slack 0, 12 nets at crit >= 0.9
+metrics          : flow.les=6 flow.pdes=0 flow.plbs=3 flow.source_gates=12 place.moves_accepted=290 place.moves_attempted=1519 route.conflict_colors=0 route.iterations=1 route.max_class=0 route.nodes_popped=2298 route.ripups=0 route.wirelength=43 timing.critical_delay=6 timing.worst_slack=0
+PLBs 3/9  LEs 6/18  LUT2s 0  PDEs 0  wirelength 43
+filling ratio: input-pin 81.0% | output-tap 50.0% | plb-slot 44.4%
+"
         );
     }
 }

@@ -2,24 +2,31 @@
 //! resource graph.
 //!
 //! Classic iteration: route every net by an A*-guided Dijkstra with a
-//! cost that mixes per-kind base cost, *present* congestion (sharing
+//! cost that mixes a unit base cost, *present* congestion (sharing
 //! this iteration) and *history* (sharing in past iterations); rip up
-//! and repeat with rising congestion pressure until no wire is shared.
+//! and repeat with rising congestion pressure until no wire is shared:
+//!
+//! ```text
+//! cost(node) = (1 + history) · (1 + pres_fac · occupancy)   (wires)
+//! cost(node) = 1 + history                                   (pins, pads)
+//! ```
+//!
+//! `pres_fac` starts at 1 and grows 1.8× per iteration; each overused
+//! node's history grows by 0.4 per extra user, per iteration.
 //!
 //! # Search guidance
 //!
 //! * **A\* lookahead** ([`RouteOptions::astar_fac`]): each wavefront
 //!   expansion is ordered by `g + astar_fac × h`, where `h` is the
 //!   Manhattan gap from the node's corner-grid extent
-//!   ([`msaf_fabric::rrg::NodeSpan`]) to the nearest remaining sink,
-//!   scaled by the **cheapest per-kind base cost**
-//!   ([`BaseCosts::floor`]). Every hop traverses at most one corner
-//!   unit and costs at least that floor, so with `astar_fac ≤ 1.0` the
-//!   heuristic stays admissible even under non-uniform base costs: the
-//!   first sink popped carries exactly the cost Dijkstra would have
-//!   found, only with far fewer heap pops. `astar_fac = 0.0`
-//!   degenerates to the uninformed Dijkstra of the original
-//!   implementation, bit-for-bit — the route goldens pin that mode.
+//!   ([`msaf_fabric::rrg::NodeSpan`]) to the nearest remaining sink.
+//!   Every hop traverses at most one corner unit and costs at least the
+//!   unit base cost, so with `astar_fac ≤ 1.0` the heuristic stays
+//!   admissible: the first sink popped carries exactly the cost
+//!   Dijkstra would have found, only with far fewer heap pops.
+//!   `astar_fac = 0.0` degenerates to the uninformed Dijkstra of the
+//!   original implementation, bit-for-bit — the route goldens pin that
+//!   mode.
 //! * **Net ordering**: on congested iterations the rip-up set is
 //!   rerouted in decreasing bounding-box half-perimeter, so the nets with
 //!   the fewest routing alternatives (the long, channel-crossing ones)
@@ -113,8 +120,8 @@
 //! — the escape hatch the route goldens pin, exactly like
 //! `astar_fac = 0` pins the reference Dijkstra. The A* lookahead stays
 //! admissible under the blend: every hop's blended cost is at least
-//! `(1 − crit) × BaseCosts::floor()`, so the heuristic is scaled by
-//! the same factor.
+//! `1 − crit` (the unit base cost, discounted), so the heuristic is
+//! scaled by the same factor.
 //!
 //! # Hot-path design
 //!
@@ -155,6 +162,13 @@ pub const WIRE_DELAY: u64 = 1;
 /// wire (at `crit = 1` they would both ignore congestion forever).
 pub const MAX_CRIT: f64 = 0.99;
 
+/// Growth of the present-congestion factor `pres_fac` per PathFinder
+/// iteration.
+pub(crate) const PRES_FAC_MULT: f64 = 1.8;
+
+/// History added to an overused node per extra user, per iteration.
+pub(crate) const HIST_FAC: f64 = 0.4;
+
 /// Per-connection criticality provider for [`route_timed`].
 ///
 /// Implementations must be [`Sync`]: during a chunked iteration the
@@ -186,75 +200,14 @@ pub struct RouteRequest {
     pub sinks: Vec<NodeId>,
 }
 
-/// Per-kind base costs of entering a routing node — the VPR-style knob
-/// that lets architectures price resource classes differently (e.g.
-/// make horizontal wires cheaper than vertical ones, or pins nearly
-/// free). All 1.0 by default, which reproduces the original
-/// uniform-cost router bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BaseCosts {
-    /// Horizontal channel wires.
-    pub hwire: f64,
-    /// Vertical channel wires.
-    pub vwire: f64,
-    /// PLB input/output pins.
-    pub pin: f64,
-    /// Perimeter I/O pads.
-    pub pad: f64,
-}
-
-impl BaseCosts {
-    /// The uniform reference costs (everything 1.0).
-    #[must_use]
-    pub const fn uniform() -> Self {
-        Self {
-            hwire: 1.0,
-            vwire: 1.0,
-            pin: 1.0,
-            pad: 1.0,
-        }
-    }
-
-    /// Base cost of entering a node of `kind`.
-    #[inline]
-    #[must_use]
-    pub fn of(self, kind: RrNodeKind) -> f64 {
-        match kind {
-            RrNodeKind::HWire { .. } => self.hwire,
-            RrNodeKind::VWire { .. } => self.vwire,
-            RrNodeKind::Opin { .. } | RrNodeKind::Ipin { .. } => self.pin,
-            RrNodeKind::Pad { .. } => self.pad,
-        }
-    }
-
-    /// The cheapest base cost across kinds — the admissible per-hop
-    /// floor the A* lookahead scales its distance estimate by (every
-    /// remaining hop enters some node and therefore costs at least
-    /// this much).
-    #[must_use]
-    pub fn floor(self) -> f64 {
-        self.hwire.min(self.vwire).min(self.pin).min(self.pad)
-    }
-}
-
-impl Default for BaseCosts {
-    fn default() -> Self {
-        Self::uniform()
-    }
-}
-
 /// Router tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteOptions {
     /// Maximum rip-up iterations before giving up.
     pub max_iterations: usize,
-    /// Present-congestion multiplier growth per iteration.
-    pub pres_fac_mult: f64,
-    /// History increment per overused node per iteration.
-    pub hist_fac: f64,
     /// A* lookahead strength: the heap is ordered by `g + astar_fac × h`
     /// with `h` the Manhattan corner-grid gap to the nearest remaining
-    /// sink ([`NodeSpan::manhattan_to`]) scaled by [`BaseCosts::floor`].
+    /// sink ([`NodeSpan::manhattan_to`]).
     ///
     /// `0.0` disables the lookahead and reproduces the uninformed
     /// Dijkstra bit-for-bit (the reference mode pinned by the route
@@ -262,8 +215,6 @@ pub struct RouteOptions {
     /// route costs, fewer heap pops; values above `1.0` trade optimality
     /// for speed (not used by default).
     pub astar_fac: f64,
-    /// Per-kind base costs (uniform 1.0 by default).
-    pub base: BaseCosts,
     /// Worker threads routing each chunk's nets concurrently. Any value
     /// (including 1, the default) produces byte-identical results for a
     /// fixed [`Self::chunk`]; threads only change wall time.
@@ -314,10 +265,7 @@ impl Default for RouteOptions {
     fn default() -> Self {
         Self {
             max_iterations: 40,
-            pres_fac_mult: 1.8,
-            hist_fac: 0.4,
             astar_fac: 1.0,
-            base: BaseCosts::uniform(),
             threads: 1,
             chunk: 16,
             timing_fac: 0.0,
@@ -443,15 +391,14 @@ impl PartialOrd for Entry {
     }
 }
 
-/// The chunk-constant part of the PathFinder cost function: history,
-/// pressure and base costs (occupancy is passed alongside — it is the
-/// one input that changes at chunk granularity).
+/// The chunk-constant part of the PathFinder cost function: history
+/// and pressure (occupancy is passed alongside — it is the one input
+/// that changes at chunk granularity).
 struct CostModel<'a> {
     history: &'a [f64],
     pres_fac: f64,
-    base: BaseCosts,
-    /// `astar_fac × BaseCosts::floor()`, the admissible per-hop scale of
-    /// the lookahead (zero disables it, reproducing plain Dijkstra).
+    /// [`RouteOptions::astar_fac`], the admissible per-hop scale of the
+    /// lookahead (zero disables it, reproducing plain Dijkstra).
     h_scale: f64,
     /// [`RouteOptions::timing_fac`]; zero bypasses the blend entirely.
     timing_fac: f64,
@@ -462,13 +409,12 @@ impl CostModel<'_> {
     /// meaningful for wires).
     #[inline]
     fn node_cost(&self, kind: RrNodeKind, index: usize, occ: u32) -> f64 {
-        let base = self.base.of(kind);
         let present = if is_wire(kind) {
             1.0 + self.pres_fac * f64::from(occ)
         } else {
             1.0
         };
-        (base + self.history[index]) * present
+        (1.0 + self.history[index]) * present
     }
 
     /// The timing-blended cost: `c·delay + (1−c)·congestion`, where `c`
@@ -681,8 +627,7 @@ fn route_impl(
         let cm = CostModel {
             history: &history,
             pres_fac,
-            base: opts.base,
-            h_scale: opts.astar_fac * opts.base.floor(),
+            h_scale: opts.astar_fac,
             timing_fac: opts.timing_fac.clamp(0.0, 1.0),
         };
         // Criticalities are frozen for the whole iteration (workers read
@@ -873,7 +818,7 @@ fn route_impl(
         for i in 0..n {
             if occupancy[i] > 1 {
                 overused += 1;
-                history[i] += opts.hist_fac * f64::from(occupancy[i] - 1);
+                history[i] += HIST_FAC * f64::from(occupancy[i] - 1);
             }
         }
         // One event per PathFinder iteration — the converged final
@@ -908,7 +853,7 @@ fn route_impl(
                 },
             });
         }
-        pres_fac *= opts.pres_fac_mult;
+        pres_fac *= PRES_FAC_MULT;
 
         // Incremental rip-up: only nets whose trees touch an overused
         // node reroute next iteration; legal nets keep their resources.
@@ -1218,8 +1163,8 @@ fn route_net(
             (cm.timing_fac * worst).min(MAX_CRIT)
         };
         // Admissibility under the blend: every hop still costs at least
-        // `(1 − c_eff) × floor` (the delay term is non-negative), so the
-        // lookahead shrinks by the same factor.
+        // `1 − c_eff` (the delay term is non-negative), so the lookahead
+        // shrinks by the same factor.
         let h_scale = cm.h_scale * (1.0 - c_eff);
         // A* from the whole current tree to the nearest remaining sink.
         // Seed from every tree node at path cost 0 (heap priority = pure
@@ -1634,76 +1579,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn uniform_base_costs_are_the_reference() {
-        // BaseCosts::uniform() must be a pure no-op relative to the
-        // historical all-wires-cost-1 router.
-        assert_eq!(BaseCosts::default(), BaseCosts::uniform());
-        assert_eq!(BaseCosts::uniform().floor(), 1.0);
-        let (g, reqs) = contended_bus();
-        let a = route(&g, &reqs, &RouteOptions::default()).unwrap();
-        let b = route(
-            &g,
-            &reqs,
-            &RouteOptions {
-                base: BaseCosts::uniform(),
-                ..RouteOptions::default()
-            },
-        )
-        .unwrap();
-        assert_identical(&a, &b, "uniform base costs");
-    }
-
-    #[test]
-    fn base_costs_steer_the_router() {
-        // Price vertical wires 4× horizontal ones: a single-net route
-        // between horizontally separated tiles must then spend no more
-        // V-wires than strictly needed, and the A* lookahead must stay
-        // admissible (identical path cost to the zero-heuristic search).
-        let g = small_rrg();
-        let req = RouteRequest {
-            net: "n".into(),
-            source: g.node(RrNodeKind::Opin { x: 0, y: 0, pin: 0 }).unwrap(),
-            sinks: vec![g.node(RrNodeKind::Ipin { x: 1, y: 0, pin: 0 }).unwrap()],
-        };
-        let skewed = BaseCosts {
-            vwire: 4.0,
-            ..BaseCosts::uniform()
-        };
-        assert_eq!(skewed.floor(), 1.0);
-        let astar = route(
-            &g,
-            std::slice::from_ref(&req),
-            &RouteOptions {
-                base: skewed,
-                ..RouteOptions::default()
-            },
-        )
-        .unwrap();
-        let dijkstra = route(
-            &g,
-            std::slice::from_ref(&req),
-            &RouteOptions {
-                base: skewed,
-                astar_fac: 0.0,
-                ..RouteOptions::default()
-            },
-        )
-        .unwrap();
-        // Admissibility under non-uniform bases: same wirelength, no
-        // bigger frontier.
-        assert_eq!(astar.trees[0].wirelength(), dijkstra.trees[0].wirelength());
-        assert!(astar.stats.nodes_popped <= dijkstra.stats.nodes_popped);
-        // The skewed route uses no vertical wire (the tiles share a
-        // channel row, so an all-horizontal path exists).
-        let vwires = astar.trees[0]
-            .nodes
-            .iter()
-            .filter(|n| matches!(n, RrNodeKind::VWire { .. }))
-            .count();
-        assert_eq!(vwires, 0, "paid for a 4x vertical wire needlessly");
     }
 
     /// A canned criticality source: fixed per-connection values, and a

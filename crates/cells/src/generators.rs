@@ -1,11 +1,9 @@
-//! Additional parameterised workloads: parity trees and multiplexer
-//! trees, in both asynchronous styles. Used by the architecture-ablation
-//! and baseline-comparison experiments to exercise shapes other than
-//! adders (wide completion trees, deep single-rail logic).
+//! Parity and multiplexer workloads beyond adders: a QDI parity tree
+//! (a wide completion tree) and the reference functions that the
+//! `parity8.msa` and `muxtree4.msa` examples are checked against.
 
-use crate::bundled::bundled_stage;
 use crate::dualrail::{dims, dr_channel_data, dr_inputs, Dr};
-use msaf_netlist::{Channel, ChannelDir, Encoding, GateKind, NetId, Netlist, Protocol};
+use msaf_netlist::{Channel, ChannelDir, Encoding, Netlist, Protocol};
 
 /// Reference: parity (XOR-reduce) of the low `width` bits of `token`.
 #[must_use]
@@ -81,109 +79,6 @@ pub fn qdi_parity_tree(width: usize) -> Netlist {
     nl
 }
 
-/// Builds a `width`-input **micropipeline bundled-data** parity tree
-/// behind one latch stage. Channels: `"op"` bundled\[width\] → `"res"`
-/// bundled\[1\].
-///
-/// # Panics
-///
-/// Panics if `width < 2` or `width > 32`.
-#[must_use]
-pub fn bundled_parity_tree(width: usize, matched_delay: u32) -> Netlist {
-    assert!((2..=32).contains(&width), "width must be in 2..=32");
-    let mut nl = Netlist::new(format!("bundled_parity_{width}"));
-    let req = nl.add_input("op_req");
-    let data_in: Vec<NetId> = (0..width).map(|i| nl.add_input(format!("x{i}"))).collect();
-    let res_ack = nl.add_input("res_ack");
-    let stage = bundled_stage(&mut nl, "st", req, &data_in, res_ack, matched_delay);
-
-    let (_, out) = nl.add_gate_new(GateKind::Xor, "parity", &stage.data_out);
-
-    for n in [out, stage.req_out, stage.ack_in] {
-        nl.mark_output(n);
-    }
-    nl.add_channel(Channel::new(
-        "op",
-        ChannelDir::Input,
-        Protocol::FourPhase,
-        Encoding::Bundled { width },
-        Some(req),
-        stage.ack_in,
-        data_in,
-    ));
-    nl.add_channel(Channel::new(
-        "res",
-        ChannelDir::Output,
-        Protocol::FourPhase,
-        Encoding::Bundled { width: 1 },
-        Some(stage.req_out),
-        res_ack,
-        vec![out],
-    ));
-    nl
-}
-
-/// Builds a **QDI dual-rail** 2^sel_bits:1 multiplexer tree from DIMS
-/// MUX2 blocks. Channel `"op"` packs data bits then select bits.
-///
-/// # Panics
-///
-/// Panics if `sel_bits` is 0 or greater than 3.
-#[must_use]
-pub fn qdi_mux_tree(sel_bits: usize) -> Netlist {
-    assert!((1..=3).contains(&sel_bits), "sel_bits must be in 1..=3");
-    let n = 1usize << sel_bits;
-    let mut nl = Netlist::new(format!("qdi_mux{n}"));
-    let data = dr_inputs(&mut nl, "d", n);
-    let sel = dr_inputs(&mut nl, "s", sel_bits);
-    let res_ack = nl.add_input("res_ack");
-
-    // Level k halves the candidates using select bit k.
-    let mut layer = data.clone();
-    for (k, &s) in sel.iter().enumerate() {
-        let mut next = Vec::with_capacity(layer.len() / 2);
-        for (i, pair) in layer.chunks(2).enumerate() {
-            let y = dims(
-                &mut nl,
-                &format!("m{k}_{i}"),
-                &[s, pair[0], pair[1]],
-                // v = [sel, d0, d1]
-                &[("mux", &|v: &[bool]| if v[0] { v[2] } else { v[1] })],
-            )[0];
-            next.push(y);
-        }
-        layer = next;
-    }
-    let out = layer[0];
-
-    nl.mark_output(out.t);
-    nl.mark_output(out.f);
-
-    let mut bits = data;
-    bits.extend(sel);
-    nl.add_channel(Channel::new(
-        "op",
-        ChannelDir::Input,
-        Protocol::FourPhase,
-        Encoding::DualRail {
-            width: n + sel_bits,
-        },
-        None,
-        res_ack,
-        dr_channel_data(&bits),
-    ));
-    nl.add_channel(Channel::new(
-        "res",
-        ChannelDir::Output,
-        Protocol::FourPhase,
-        Encoding::DualRail { width: 1 },
-        None,
-        res_ack,
-        dr_channel_data(&[out]),
-    ));
-    nl
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,29 +102,6 @@ mod tests {
         let toks: Vec<u64> = vec![0, 1, 0b10110, 0b11111, 0b01010];
         let want: Vec<u64> = toks.iter().map(|&t| parity_reference(5, t)).collect();
         assert_eq!(run(&nl, toks), want);
-    }
-
-    #[test]
-    fn bundled_parity_matches_reference() {
-        let nl = bundled_parity_tree(6, 24);
-        let toks: Vec<u64> = vec![0, 0b111111, 0b101010, 0b000111];
-        let want: Vec<u64> = toks.iter().map(|&t| parity_reference(6, t)).collect();
-        assert_eq!(run(&nl, toks), want);
-    }
-
-    #[test]
-    fn qdi_mux_selects_correctly() {
-        let nl = qdi_mux_tree(2);
-        // 4 data bits + 2 select bits.
-        let toks: Vec<u64> = vec![
-            0b00_1010, // sel=0 -> d0=0
-            0b01_1010, // sel=1 -> d1=1
-            0b10_1010, // sel=2 -> d2=0
-            0b11_1010, // sel=3 -> d3=1
-        ];
-        let want: Vec<u64> = toks.iter().map(|&t| muxtree_reference(2, t)).collect();
-        assert_eq!(run(&nl, toks), want);
-        assert_eq!(want, vec![0, 1, 0, 1]);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`wchb`] — weak-conditioned half-buffer QDI pipelines;
 //! * [`fulladder`] — the two Figure-3 adders;
 //! * [`adders`] — n-bit ripple-carry sweeps of both styles;
-//! * [`generators`] — further parameterised workloads (parity trees,
-//!   mux trees) in both styles.
+//! * [`generators`] — a QDI parity tree, plus the parity and mux-tree
+//!   reference functions.
 //!
 //! Every constructor extends a caller-supplied [`msaf_netlist::Netlist`]
 //! or returns a complete netlist with [`msaf_netlist::Channel`]

@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod dot;
 pub mod fanout;
 pub mod gate;
 pub mod ids;

@@ -13,7 +13,7 @@
 //!   "style": "qdi",             // required: qdi | wchb | bundled
 //!   "seed": 1,                  // optional placement seed
 //!   "timing_fac": 0.0,          // optional, 0.0 ..= 1.0
-//!   "channel_width": 16         // optional pinned channel width
+//!   "channel_width": 16         // optional pinned width, 1 ..= 96
 //! }
 //! ```
 
@@ -34,6 +34,13 @@ pub struct CompileRequest {
     /// Pinned channel width (default: adaptive widening).
     pub channel_width: Option<usize>,
 }
+
+/// The widest channel an envelope may pin: the paper template's 12
+/// tracks doubled by each of the flow's three widenings, so the widest
+/// channel the flow itself ever routes. The routing-resource graph
+/// grows linearly with the width, so an unbounded value would let one
+/// request exhaust the server's memory.
+const MAX_CHANNEL_WIDTH: usize = 96;
 
 /// The schema's field names — anything else in the envelope is a
 /// structural rejection, so typos fail loudly instead of silently
@@ -120,6 +127,11 @@ pub fn parse_compile(body: &str) -> Result<CompileRequest, String> {
             if n == 0 {
                 return Err("field 'channel_width' must be positive".into());
             }
+            if n > MAX_CHANNEL_WIDTH as u64 {
+                return Err(format!(
+                    "field 'channel_width' must be at most {MAX_CHANNEL_WIDTH}"
+                ));
+            }
             #[allow(clippy::cast_possible_truncation)]
             Some(n as usize)
         }
@@ -196,6 +208,10 @@ mod tests {
             (
                 r#"{"kind":"compile","source":"x","style":"qdi","channel_width":0}"#,
                 "'channel_width' must be positive",
+            ),
+            (
+                r#"{"kind":"compile","source":"x","style":"qdi","channel_width":97}"#,
+                "'channel_width' must be at most 96",
             ),
         ] {
             let err = parse_compile(body).unwrap_err();

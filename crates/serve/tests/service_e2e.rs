@@ -132,6 +132,10 @@ fn malformed_envelopes_are_rejected_before_dispatch() {
             r#"{"kind":"compile","source":"x","style":"qdi","bogus":1}"#,
             "unknown field 'bogus'",
         ),
+        (
+            r#"{"kind":"compile","source":"x","style":"qdi","channel_width":97}"#,
+            "'channel_width' must be at most 96",
+        ),
     ] {
         let response = client::post(&addr, "/compile", body).unwrap();
         assert_eq!(response.status, 400, "body {body:?}");

@@ -40,7 +40,6 @@
 
 use crate::delay::DelayModel;
 use crate::queue::{Ev, Wheel};
-use crate::trace::Trace;
 use msaf_netlist::{FanoutIndex, GateId, GateKind, NetId, Netlist};
 use msaf_trace::Tracer;
 
@@ -127,8 +126,6 @@ pub struct Simulator<'a> {
     seq: u64,
     now: SimTime,
     glitches: Vec<Glitch>,
-    transition_count: Vec<u64>,
-    trace: Trace,
     events_processed: u64,
     steps_executed: u64,
     gates_evaluated: u64,
@@ -213,8 +210,6 @@ impl<'a> Simulator<'a> {
             seq: 0,
             now: 0,
             glitches: Vec::new(),
-            transition_count: vec![0; n_nets],
-            trace: Trace::new(),
             events_processed: 0,
             steps_executed: 0,
             gates_evaluated: 0,
@@ -258,16 +253,6 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn value(&self, net: NetId) -> bool {
         self.values[net.index()]
-    }
-
-    /// Number of committed transitions seen on `net` so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is out of range.
-    #[must_use]
-    pub fn transitions(&self, net: NetId) -> u64 {
-        self.transition_count[net.index()]
     }
 
     /// Glitches (inertially filtered pulses) recorded so far.
@@ -325,17 +310,6 @@ impl<'a> Simulator<'a> {
                 ("wheel_overflow_hw", d.high_water_overflow.into()),
             ]
         });
-    }
-
-    /// Enables waveform recording for `net` (see [`Trace`]).
-    pub fn watch(&mut self, net: NetId) {
-        self.trace.watch(net, self.now, self.values[net.index()]);
-    }
-
-    /// The recorded waveform trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The per-gate delay the model assigned (delay gates report their
@@ -396,15 +370,13 @@ impl<'a> Simulator<'a> {
             return false;
         }
         self.values[net.index()] = value;
-        self.transition_count[net.index()] += 1;
         self.changed.push(net);
-        self.trace.record(net, self.now, value);
         true
     }
 
     /// Clamps `net` to `value` (stuck-at fault): the net takes `value`
     /// now and every future commit to the opposite value is silently
-    /// refused at the commit path until [`Simulator::unclamp_net`].
+    /// refused at the commit path.
     ///
     /// # Panics
     ///
@@ -427,14 +399,6 @@ impl<'a> Simulator<'a> {
             }
         }
         self.evaluate_dirty();
-    }
-
-    /// Removes a stuck-at clamp from `net`. The net keeps its current
-    /// value until a driver or input event next commits to it.
-    pub fn unclamp_net(&mut self, net: NetId) {
-        if self.clamps[net.index()].take().is_some() {
-            self.clamp_count -= 1;
-        }
     }
 
     /// Schedules a transient single-event upset: at time `at` the
@@ -667,30 +631,6 @@ impl<'a> Simulator<'a> {
         Ok(())
     }
 
-    /// Runs until simulation time exceeds `until` or the queue empties.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EventLimit`] if more than `max_events` events
-    /// commit first.
-    pub fn run_until(&mut self, until: SimTime, max_events: u64) -> Result<(), SimError> {
-        let start = self.events_processed;
-        loop {
-            match self.queue.peek_time() {
-                None => return Ok(()),
-                Some(t) if t > until => return Ok(()),
-                Some(_) => {}
-            }
-            self.step();
-            if self.events_processed - start > max_events {
-                return Err(SimError::EventLimit {
-                    limit: max_events,
-                    at: self.now,
-                });
-            }
-        }
-    }
-
     /// True when no events (including scheduled SEU flips) are pending.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
@@ -717,6 +657,15 @@ mod tests {
 
     fn settle_all(sim: &mut Simulator<'_>) {
         sim.settle(1_000_000).expect("settles");
+    }
+
+    /// Steps to quiescence, counting the commits to `net` on the way.
+    fn settle_counting(sim: &mut Simulator<'_>, net: NetId) -> usize {
+        let mut commits = 0;
+        while sim.step() {
+            commits += sim.changed_nets().iter().filter(|&&n| n == net).count();
+        }
+        commits
     }
 
     #[test]
@@ -801,13 +750,11 @@ mod tests {
         settle_all(&mut sim);
         sim.set_input(b, true, 0);
         settle_all(&mut sim);
-        let transitions_before = sim.transitions(y);
         sim.set_input(a, true, 0);
         sim.set_input(a, false, 2);
-        settle_all(&mut sim);
         assert_eq!(
-            sim.transitions(y),
-            transitions_before,
+            settle_counting(&mut sim, y),
+            0,
             "pulse shorter than gate delay must be filtered"
         );
         assert_eq!(sim.glitches().len(), 1);
@@ -823,9 +770,8 @@ mod tests {
         settle_all(&mut sim);
         sim.set_input(a, true, 0);
         sim.set_input(a, false, 2);
-        settle_all(&mut sim);
         // Both edges arrive, 10 units late each.
-        assert_eq!(sim.transitions(y), 2);
+        assert_eq!(settle_counting(&mut sim, y), 2);
         assert!(sim.glitches().is_empty());
     }
 
@@ -890,21 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_time() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let (_, y) = nl.add_gate_new(GateKind::Buf, "b", &[a]);
-        nl.mark_output(y);
-        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
-        settle_all(&mut sim);
-        sim.set_input(a, true, 100);
-        sim.run_until(50, 1000).unwrap();
-        assert!(!sim.value(y));
-        sim.run_until(200, 1000).unwrap();
-        assert!(sim.value(y));
-    }
-
-    #[test]
     fn wide_gate_uses_spill_buffer() {
         // A 12-input AND exceeds the inline buffer; the spill path must
         // produce the same semantics.
@@ -939,14 +870,6 @@ mod tests {
         settle_all(&mut sim);
         assert!(!sim.value(y), "stuck-at-0 net must refuse the driver");
         assert!(sim.value(z), "downstream logic sees the fault value");
-        // Releasing the clamp does not retroactively commit; the next
-        // driver edge does.
-        sim.unclamp_net(y);
-        sim.set_input(a, false, 1);
-        sim.set_input(a, true, 2);
-        settle_all(&mut sim);
-        assert!(sim.value(y));
-        assert!(!sim.value(z));
     }
 
     #[test]
@@ -1017,10 +940,10 @@ mod tests {
         sim.set_input(a, true, 1);
         sim.set_input(a, false, 3);
         sim.set_input(a, true, 5);
-        settle_all(&mut sim);
+        let commits = settle_counting(&mut sim, y);
         assert!(sim.value(y));
         // The middle pulse (width 2 < delay 4) was inertially filtered.
         assert_eq!(sim.glitches().len(), 1);
-        assert_eq!(sim.transitions(y), 1);
+        assert_eq!(commits, 1);
     }
 }

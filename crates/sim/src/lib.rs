@@ -50,8 +50,6 @@ pub mod engine;
 pub mod faults;
 mod queue;
 pub mod settle;
-pub mod trace;
-pub mod vcd;
 
 pub use agents::{token_run, token_run_traced, Token, TokenRunError, TokenRunOptions, TokenStream};
 pub use delay::{DelayModel, FixedDelay, PerKindDelay, RandomDelay};
@@ -62,4 +60,3 @@ pub use faults::{
     default_stimulus, run_campaign, run_campaign_traced, CampaignOptions, Fault, FaultOutcome,
     FaultReport, FaultResult, KindSummary, FAULT_KINDS,
 };
-pub use trace::Trace;

@@ -50,7 +50,6 @@
 pub mod chrome;
 pub mod json;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -207,12 +206,6 @@ fn current_tid() -> u64 {
 }
 
 impl Tracer {
-    /// The disabled tracer (same as [`Tracer::default`]).
-    #[must_use]
-    pub fn noop() -> Self {
-        Self::default()
-    }
-
     /// A tracer feeding `sink`, with its timestamp epoch set to now.
     #[must_use]
     pub fn with_sink(sink: Arc<dyn TraceSink>) -> Self {
@@ -364,73 +357,13 @@ impl TraceSink for Recorder {
     }
 }
 
-/// A typed counter map: the deterministic end-of-run snapshot a
-/// `FlowReport` carries (as opposed to the time-series a sink records).
-/// Keys are static names, values are plain `u64` counters, iteration is
-/// name-ordered — so two runs of the same compile produce byte-identical
-/// renderings regardless of tracing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Metrics {
-    counters: BTreeMap<&'static str, u64>,
-}
-
-impl Metrics {
-    /// An empty map.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets counter `name` to `value` (last write wins).
-    pub fn set(&mut self, name: &'static str, value: u64) {
-        self.counters.insert(name, value);
-    }
-
-    /// Reads counter `name`, if set.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Name-ordered iteration over all counters.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Number of counters set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether no counter is set.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-}
-
-impl fmt::Display for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (k, v) in self.iter() {
-            if !first {
-                write!(f, " ")?;
-            }
-            write!(f, "{k}={v}")?;
-            first = false;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn noop_tracer_is_inert() {
-        let t = Tracer::noop();
+        let t = Tracer::default();
         assert!(!t.enabled());
         let mut ran = false;
         t.event("never", || {
@@ -502,19 +435,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_render_name_ordered() {
-        let mut m = Metrics::new();
-        m.set("zulu", 1);
-        m.set("alpha", 2);
-        m.set("zulu", 3); // last write wins
-        assert_eq!(m.to_string(), "alpha=2 zulu=3");
-        assert_eq!(m.get("zulu"), Some(3));
-        assert_eq!(m.get("missing"), None);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
     fn tracer_debug_shows_enablement() {
-        assert_eq!(format!("{:?}", Tracer::noop()), "Tracer { enabled: false }");
+        assert_eq!(
+            format!("{:?}", Tracer::default()),
+            "Tracer { enabled: false }"
+        );
     }
 }

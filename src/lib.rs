@@ -73,7 +73,7 @@ pub mod prelude {
         CampaignOptions, Fault, FaultOutcome, FaultReport, FixedDelay, PerKindDelay, RandomDelay,
         Simulator, StallDiagnosis, TokenRunError, TokenRunOptions, FAULT_KINDS,
     };
-    pub use msaf_trace::{Metrics, Recorder, Tracer};
+    pub use msaf_trace::{Recorder, Tracer};
 }
 
 #[cfg(test)]
