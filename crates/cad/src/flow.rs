@@ -412,9 +412,7 @@ fn compile_inner(
                 channel_width: art.channel_width,
                 ..arch.clone()
             };
-            let rrg = Rrg::build(&arch);
-            let binding =
-                bind(&mapped, &packed, &placement, &arch, &rrg).map_err(FlowError::Bitgen)?;
+            let (rrg, binding) = build_and_bind(&mapped, &packed, &placement, &arch, tracer)?;
             Ok(Routed {
                 channel_width: art.channel_width,
                 rrg,
@@ -522,6 +520,25 @@ fn route_key(opts: &RouteOptions) -> String {
     )
 }
 
+/// Builds the routing graph for `arch` and binds the design's nets to
+/// it, under the `flow.rrg` and `flow.bind` spans: the set-up of every
+/// routing attempt and of every restored route.
+fn build_and_bind(
+    mapped: &MappedDesign,
+    packed: &PackedDesign,
+    placement: &Placement,
+    arch: &ArchSpec,
+    tracer: &Tracer,
+) -> Result<(Rrg, Binding), FlowError> {
+    let rrg = {
+        let _span = tracer.span("flow.rrg");
+        Rrg::build(arch)
+    };
+    let _span = tracer.span("flow.bind");
+    let binding = bind(mapped, packed, placement, arch, &rrg).map_err(FlowError::Bitgen)?;
+    Ok((rrg, binding))
+}
+
 /// Routes at `arch`'s channel width, doubling it on congestion failure
 /// up to three times unless [`FlowOptions::channel_width`] pins it.
 ///
@@ -544,8 +561,7 @@ fn route_widening(
     // once and clone per widening retry.
     let graph = TimingGraph::build(mapped);
     loop {
-        let rrg = Rrg::build(&arch);
-        let binding = bind(mapped, packed, placement, &arch, &rrg).map_err(FlowError::Bitgen)?;
+        let (rrg, binding) = build_and_bind(mapped, packed, placement, &arch, tracer)?;
         let mut ctx = RouteTimingCtx::with_graph(
             graph.clone(),
             mapped,
@@ -716,6 +732,53 @@ mod tests {
             .filter(|e| e.name == "flow.widen_channel")
             .count();
         assert_eq!(widens, 3, "one widening event per doubling");
+        for span in ["flow.rrg", "flow.bind"] {
+            let begins = recorder
+                .events()
+                .iter()
+                .filter(|e| e.name == span && e.phase == msaf_trace::Phase::Begin)
+                .count();
+            assert_eq!(begins, 4, "one {span} span per channel-width attempt");
+        }
+    }
+
+    #[test]
+    fn graph_build_and_bind_spans_sit_inside_the_route_span() {
+        use msaf_artifact::MemStore;
+        use msaf_trace::Phase;
+
+        // A miss builds and binds before routing; a hit rebuilds and
+        // re-binds to restore the trees. Both show as flow.rrg then
+        // flow.bind, once each, inside flow.route.
+        let store = MemStore::new();
+        for warm in [false, true] {
+            let (tracer, recorder) = Tracer::recorder();
+            let opts = FlowOptions {
+                tracer,
+                ..FlowOptions::default()
+            };
+            let (_, report) = compile_cached(&qdi_full_adder(), &opts, &store, 5).unwrap();
+            assert_eq!(report.all_hits(), warm, "{report:?}");
+            let inside: Vec<(&str, Phase)> = recorder
+                .events()
+                .iter()
+                .skip_while(|e| !(e.name == "flow.route" && e.phase == Phase::Begin))
+                .skip(1)
+                .take_while(|e| e.name != "flow.route")
+                .filter(|e| e.name == "flow.rrg" || e.name == "flow.bind")
+                .map(|e| (e.name, e.phase))
+                .collect();
+            assert_eq!(
+                inside,
+                [
+                    ("flow.rrg", Phase::Begin),
+                    ("flow.rrg", Phase::End),
+                    ("flow.bind", Phase::Begin),
+                    ("flow.bind", Phase::End),
+                ],
+                "warm: {warm}"
+            );
+        }
     }
 
     #[test]

@@ -132,6 +132,24 @@
 //! * Sink membership ("is this node a remaining target?") and route-tree
 //!   membership are the same kind of stamped dense array, replacing the
 //!   `Vec::contains` scans of the first implementation.
+//! * Expansion walks **wires only**. The graph stores each node's
+//!   adjacent wires and nothing else ([`Rrg::adjacent_wires`]); with the
+//!   paper preset's `fc_in = 1` a wire touches about four times as many
+//!   pins as wires, and a search may enter none of those pins but its
+//!   own net's sinks. So when a net collects its targets it stamps each
+//!   pin or pad target's wires as **portals**, and popping a portal
+//!   relaxes the remaining targets adjacent to it, in increasing node id.
+//! * The push order is what a walk over the full adjacency would give.
+//!   A wire's full neighbour list is its wires in link order followed by
+//!   its pins and pads in increasing id (the graph's list-order
+//!   invariant, pinned in `msaf-fabric`). Of those pins and pads, only a
+//!   remaining target is enterable, and a tree member sits at distance
+//!   0, so it is never relaxed. Every heap push therefore happens in the
+//!   order, and with the priority, of a search over the full adjacency:
+//!   trees, `nodes_popped`, rip-ups and every digest are the same as
+//!   that search's at any thread count (the route goldens pin them).
+//! * Rip-up, merge and the delay walk test [`Rrg::is_wire`], an id
+//!   comparison, instead of loading a node kind.
 //! * Rip-up is **incremental** (the standard PathFinder refinement):
 //!   after the first iteration only nets whose trees touch an overused
 //!   node are ripped up and rerouted; legal nets keep their trees and
@@ -144,7 +162,7 @@
 
 use crate::conflict::{overlaps, ConflictGraph};
 use msaf_fabric::bitstream::RouteTree;
-use msaf_fabric::rrg::{NodeId, NodeSpan, RrNodeKind, Rrg};
+use msaf_fabric::rrg::{NodeId, NodeSpan, Rrg};
 use msaf_trace::Tracer;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -349,12 +367,6 @@ type NetTree = Vec<(NodeId, Option<NodeId>)>;
 /// [`route_net`] outcome (`None` inside = unreachable).
 type ResultSlot = Mutex<Option<Option<(NetTree, u64)>>>;
 
-/// True when a node is congestion-managed (wires only; pins and pads are
-/// dedicated by construction).
-fn is_wire(kind: RrNodeKind) -> bool {
-    matches!(kind, RrNodeKind::HWire { .. } | RrNodeKind::VWire { .. })
-}
-
 /// Max-heap entry ordered for a min-heap (reversed compare) on the A*
 /// priority `f = g + h`, with a deterministic node-id tie-break; the
 /// plain path cost `g` rides along for the staleness check. With a zero
@@ -405,11 +417,12 @@ struct CostModel<'a> {
 }
 
 impl CostModel<'_> {
-    /// Cost of entering node `id` with wire occupancy `occ` (only
-    /// meaningful for wires).
+    /// Cost of entering node `index` with occupancy `occ`; only a wire
+    /// (congestion-managed — pins and pads are dedicated by
+    /// construction) pays for occupancy.
     #[inline]
-    fn node_cost(&self, kind: RrNodeKind, index: usize, occ: u32) -> f64 {
-        let present = if is_wire(kind) {
+    fn node_cost(&self, wire: bool, index: usize, occ: u32) -> f64 {
+        let present = if wire {
             1.0 + self.pres_fac * f64::from(occ)
         } else {
             1.0
@@ -422,16 +435,12 @@ impl CostModel<'_> {
     /// `timing_fac` and capped). `c = 0.0` takes the congestion cost
     /// unchanged — bit-identical to the untimed router.
     #[inline]
-    fn blended_cost(&self, kind: RrNodeKind, index: usize, occ: u32, crit: f64) -> f64 {
-        let cong = self.node_cost(kind, index, occ);
+    fn blended_cost(&self, wire: bool, index: usize, occ: u32, crit: f64) -> f64 {
+        let cong = self.node_cost(wire, index, occ);
         if crit == 0.0 {
             return cong;
         }
-        let delay = if is_wire(kind) {
-            WIRE_DELAY as f64
-        } else {
-            0.0
-        };
+        let delay = if wire { WIRE_DELAY as f64 } else { 0.0 };
         crit * delay + (1.0 - crit) * cong
     }
 }
@@ -439,8 +448,8 @@ impl CostModel<'_> {
 /// Dense, generation-stamped scratch shared by every Dijkstra run of a
 /// routing invocation (one per worker thread). `dist`/`prev` entries are
 /// valid only when the node's `search_stamp` matches the current search;
-/// tree and target membership likewise against per-net stamps — so
-/// starting a new search or net is a counter increment, not an O(n)
+/// tree, target and portal membership likewise against per-net stamps —
+/// so starting a new search or net is a counter increment, not an O(n)
 /// clear.
 struct Scratch {
     dist: Vec<f64>,
@@ -449,11 +458,14 @@ struct Scratch {
     search: u32,
     in_tree_stamp: Vec<u32>,
     target_stamp: Vec<u32>,
+    /// Wires adjacent to a pin or pad target of the current net: the
+    /// only nodes whose expansion can enter a pin or pad.
+    portal_stamp: Vec<u32>,
     net: u32,
     heap: BinaryHeap<Entry>,
-    /// Remaining sinks of the current net with their corner-grid spans
-    /// and criticalities — the A* heuristic's target set (pruned as
-    /// sinks are reached).
+    /// Remaining sinks of the current net, in increasing node id, with
+    /// their corner-grid spans and criticalities — the A* heuristic's
+    /// target set (pruned as sinks are reached).
     targets: Vec<(NodeId, NodeSpan, f64)>,
 }
 
@@ -466,6 +478,7 @@ impl Scratch {
             search: 0,
             in_tree_stamp: vec![0; n],
             target_stamp: vec![0; n],
+            portal_stamp: vec![0; n],
             net: 0,
             heap: BinaryHeap::new(),
             targets: Vec::new(),
@@ -489,6 +502,28 @@ impl Scratch {
     #[inline]
     fn is_target(&self, n: NodeId) -> bool {
         self.target_stamp[n.index()] == self.net
+    }
+
+    #[inline]
+    fn is_portal(&self, n: NodeId) -> bool {
+        self.portal_stamp[n.index()] == self.net
+    }
+
+    /// Relaxes `v` to path cost `nd` through `u` if that improves it,
+    /// pushing it onto the heap at priority `nd` plus its lookahead.
+    #[inline]
+    fn relax(&mut self, u: NodeId, v: NodeId, nd: f64, h_scale: f64, spans: &[NodeSpan]) {
+        if nd < self.dist_of(v) {
+            let vi = v.index();
+            self.search_stamp[vi] = self.search;
+            self.dist[vi] = nd;
+            self.prev[vi] = u;
+            self.heap.push(Entry {
+                f: nd + self.lookahead(h_scale, spans[vi]),
+                g: nd,
+                node: v,
+            });
+        }
     }
 
     /// A* lookahead: `h_scale ×` the Manhattan corner-grid gap from
@@ -970,7 +1005,7 @@ fn route_groups(
                 if let Some(tree) = trees[ri].take() {
                     *rips += 1;
                     for (node, _) in tree {
-                        if is_wire(rrg.kind(node)) {
+                        if rrg.is_wire(node) {
                             occ_g[node.index()] -= 1;
                         }
                     }
@@ -1000,7 +1035,7 @@ fn route_groups(
                     Some((tree, pops)) => {
                         *popped += pops;
                         for (node, _) in &tree {
-                            if is_wire(rrg.kind(*node)) {
+                            if rrg.is_wire(*node) {
                                 occ_g[node.index()] += 1;
                             }
                         }
@@ -1084,7 +1119,7 @@ fn collect_routed_delays(
             let mut cur = sink;
             let mut wires = 0u64;
             loop {
-                if is_wire(rrg.kind(cur)) {
+                if rrg.is_wire(cur) {
                     wires += 1;
                 }
                 let p = walk.parent[cur.index()];
@@ -1127,6 +1162,7 @@ fn route_net(
         // alias. Hard-reset the membership arrays and restart at 1.
         scratch.in_tree_stamp.fill(0);
         scratch.target_stamp.fill(0);
+        scratch.portal_stamp.fill(0);
         scratch.net = 1;
     }
     let spans = rrg.spans();
@@ -1142,8 +1178,16 @@ fn route_net(
                 .targets
                 .push((s, spans[s.index()], crit.get(si).copied().unwrap_or(0.0)));
             remaining += 1;
+            if !rrg.is_wire(s) {
+                for &w in rrg.adjacent_wires(s) {
+                    scratch.portal_stamp[w.index()] = scratch.net;
+                }
+            }
         }
     }
+    // Increasing node id: the order in which a portal enters the
+    // targets it touches.
+    scratch.targets.sort_unstable_by_key(|&(t, _, _)| t);
 
     // Reusable path buffer for the walk-back (grows to the longest path).
     let mut path: Vec<NodeId> = Vec::new();
@@ -1194,34 +1238,32 @@ fn route_net(
                 found = Some(u);
                 break;
             }
-            for &v in rrg.neighbors(u) {
-                // Expansion discipline: a sink pin/pad may only be entered
-                // if it is one of ours; wires are fair game; other nets'
-                // pins are never crossed (pins have a single user).
-                let vk = rrg.kind(v);
-                let enterable = match vk {
-                    RrNodeKind::HWire { .. } | RrNodeKind::VWire { .. } => true,
-                    _ => scratch.is_target(v) || scratch.in_tree(v),
-                };
-                if !enterable {
-                    continue;
-                }
+            // Expansion discipline: wires are fair game; a pin or pad
+            // may only be entered if it is one of our remaining targets
+            // (other nets' pins are never crossed — pins have a single
+            // user — and tree members sit at distance 0 already).
+            for &v in rrg.adjacent_wires(u) {
                 let step = if scratch.in_tree(v) {
                     0.0
                 } else {
                     let vi = v.index();
-                    cm.blended_cost(vk, vi, occupancy[vi], c_eff)
+                    cm.blended_cost(true, vi, occupancy[vi], c_eff)
                 };
-                let nd = g + step;
-                if nd < scratch.dist_of(v) {
-                    scratch.search_stamp[v.index()] = scratch.search;
-                    scratch.dist[v.index()] = nd;
-                    scratch.prev[v.index()] = u;
-                    scratch.heap.push(Entry {
-                        f: nd + scratch.lookahead(h_scale, spans[v.index()]),
-                        g: nd,
-                        node: v,
-                    });
+                scratch.relax(u, v, g + step, h_scale, spans);
+            }
+            if scratch.is_portal(u) {
+                // The pin and pad targets this wire touches, in
+                // increasing id (a wire target is entered by the loop
+                // above). A touching span is necessary for adjacency and
+                // cheap to test before scanning the target's list.
+                let us = spans[u.index()];
+                for k in 0..scratch.targets.len() {
+                    let (t, ts, _) = scratch.targets[k];
+                    if !rrg.is_wire(t) && us.manhattan_to(ts) == 0 && rrg.adjacent(t, u) {
+                        let ti = t.index();
+                        let step = cm.blended_cost(false, ti, occupancy[ti], c_eff);
+                        scratch.relax(u, t, g + step, h_scale, spans);
+                    }
                 }
             }
         }
@@ -1249,7 +1291,7 @@ fn route_net(
         // The sink is no longer a target (nor a lookahead attractor).
         scratch.target_stamp[sink.index()] = 0;
         if let Some(pos) = scratch.targets.iter().position(|&(t, _, _)| t == sink) {
-            scratch.targets.swap_remove(pos);
+            scratch.targets.remove(pos);
         }
         remaining -= 1;
     }
@@ -1273,6 +1315,7 @@ fn to_route_tree(rrg: &Rrg, req: &RouteRequest, tree: &[(NodeId, Option<NodeId>)
 mod tests {
     use super::*;
     use msaf_fabric::arch::ArchSpec;
+    use msaf_fabric::rrg::RrNodeKind;
 
     fn small_rrg() -> Rrg {
         let mut a = ArchSpec::paper(2, 2);
@@ -1758,5 +1801,53 @@ mod tests {
             }
         }
         assert!(occ.values().all(|&o| o <= 1), "overused wire survived");
+    }
+
+    #[test]
+    fn shared_portal_enters_both_sinks_in_id_order() {
+        // Tiles (1, 2) and (1, 1) both tap channel row 2, so each wire
+        // H(1, 2, t) is a portal to both of the fork's sinks. Three
+        // competing nets route first along row 2 on tracks 0-2, which
+        // steers the fork (whose output pin taps tracks 3 and 0) onto
+        // track 3. Its first search then pops H(1, 2, 3) while both
+        // sinks remain and enters both from it, the lower id first.
+        let mut a = ArchSpec::paper(4, 3);
+        a.channel_width = 4;
+        let g = Rrg::build(&a);
+        let node = |kind| g.node(kind).unwrap();
+        let opin = |x, y, pin| node(RrNodeKind::Opin { x, y, pin });
+        let ipin = |x, y, pin| node(RrNodeKind::Ipin { x, y, pin });
+        let mut reqs: Vec<RouteRequest> = (0..3)
+            .map(|pin| RouteRequest {
+                net: format!("c{pin}"),
+                source: opin(3, 2, pin),
+                sinks: vec![ipin(0, 1, pin)],
+            })
+            .collect();
+        reqs.push(RouteRequest {
+            net: "fork".into(),
+            source: opin(3, 2, 3),
+            sinks: vec![ipin(1, 2, 0), ipin(1, 1, 0)],
+        });
+        let res = route(&g, &reqs, &RouteOptions::default()).unwrap();
+        let h = |x, t| RrNodeKind::HWire { x, y: 2, t };
+        let sink = |y| RrNodeKind::Ipin { x: 1, y, pin: 0 };
+        assert_eq!(
+            res.trees[3].edges,
+            [
+                (RrNodeKind::Opin { x: 3, y: 2, pin: 3 }, h(3, 3)),
+                (h(3, 3), h(2, 3)),
+                (h(2, 3), h(1, 3)),
+                (h(1, 3), sink(1)),
+                (h(1, 3), sink(2)),
+            ]
+        );
+        // Captured before the graph stored only wire adjacency.
+        assert_eq!(
+            msaf_artifact::digest::digest_trees(&res.trees),
+            11_612_938_429_752_929_583
+        );
+        assert_eq!(res.stats.nodes_popped, 226);
+        assert_eq!((res.iterations, res.stats.ripups), (1, 0));
     }
 }

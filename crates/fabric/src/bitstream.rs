@@ -10,7 +10,6 @@ use crate::arch::ArchSpec;
 use crate::plb::PlbConfig;
 use crate::rrg::{RrNodeKind, Rrg};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Direction of an I/O pad assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,16 +134,18 @@ impl FabricConfig {
             plb.check(&self.arch.plb)
                 .map_err(|e| format!("PLB #{i}: {e}"))?;
         }
-        let mut occupancy: HashMap<RrNodeKind, &str> = HashMap::new();
-        for tree in &self.routes {
+        // Per wire, the index of the last tree seen on it. Wires are
+        // exclusive; pins are per-net by construction.
+        let mut occupant: Vec<Option<usize>> = vec![None; rrg.wire_count()];
+        for (i, tree) in self.routes.iter().enumerate() {
             for node in &tree.nodes {
-                if rrg.node(*node).is_none() {
+                let Some(id) = rrg.node(*node) else {
                     return Err(format!("net '{}': node {node:?} not in graph", tree.net));
-                }
-                // Wires are exclusive; pins are per-net by construction.
-                if matches!(node, RrNodeKind::HWire { .. } | RrNodeKind::VWire { .. }) {
-                    if let Some(other) = occupancy.insert(*node, &tree.net) {
-                        if other != tree.net {
+                };
+                if rrg.is_wire(id) {
+                    if let Some(k) = occupant[id.index()].replace(i) {
+                        let other = &self.routes[k].net;
+                        if *other != tree.net {
                             return Err(format!(
                                 "wire {node:?} shared by '{other}' and '{}'",
                                 tree.net
@@ -157,7 +158,7 @@ impl FabricConfig {
                 let (Some(ia), Some(ib)) = (rrg.node(*a), rrg.node(*b)) else {
                     return Err(format!("net '{}': edge endpoint missing", tree.net));
                 };
-                if !rrg.neighbors(ia).contains(&ib) {
+                if !rrg.adjacent(ia, ib) {
                     return Err(format!(
                         "net '{}': edge {a:?} -> {b:?} not present in fabric",
                         tree.net
@@ -242,6 +243,33 @@ mod tests {
         });
         let err = cfg.check(&rrg).unwrap_err();
         assert!(err.contains("not present"), "{err}");
+
+        // A wire into an input pin of a tile the wire does not border:
+        // H(0, 0) runs below tile (0, 0), not tile (1, 1).
+        let far_pin = RrNodeKind::Ipin { x: 1, y: 1, pin: 0 };
+        cfg.routes[0] = RouteTree {
+            net: "n".into(),
+            source: w1,
+            sinks: vec![far_pin],
+            nodes: vec![w1, far_pin],
+            edges: vec![(w1, far_pin)],
+        };
+        let err = cfg.check(&rrg).unwrap_err();
+        assert!(err.contains("not present"), "{err}");
+
+        // A real connection-box edge passes in both orientations: tile
+        // (0, 0)'s input pin 0 taps track 0 of its south channel.
+        let pin = RrNodeKind::Ipin { x: 0, y: 0, pin: 0 };
+        for edge in [(w1, pin), (pin, w1)] {
+            cfg.routes[0] = RouteTree {
+                net: "n".into(),
+                source: edge.0,
+                sinks: vec![edge.1],
+                nodes: vec![edge.0, edge.1],
+                edges: vec![edge],
+            };
+            assert_eq!(cfg.check(&rrg), Ok(()), "{edge:?}");
+        }
     }
 
     #[test]

@@ -17,9 +17,37 @@
 //! (`fc`) of the tracks in those channels. I/O pads live on the
 //! perimeter channels.
 //!
-//! Wires are bidirectional; the graph stores undirected adjacency and the
-//! router expands both ways. Every node carries a capacity of one signal
+//! Wires are bidirectional. Every node carries a capacity of one signal
 //! — the PathFinder router in `msaf-cad` negotiates congestion on top.
+//!
+//! # What is stored
+//!
+//! Every edge of the fabric has a wire at one end or both: a switch box
+//! joins two wires, a connection box joins a pin to a wire, and a pad
+//! taps its perimeter wires; no edge joins two pins or pads. The graph
+//! therefore stores, per node, only its adjacent **wires**, in one CSR
+//! array ([`Rrg::adjacent_wires`]):
+//!
+//! * a wire lists its switch-box wires, in the order the switch boxes
+//!   link them;
+//! * a pin lists its connection-box wires and a pad its perimeter wires,
+//!   in tap order.
+//!
+//! A wire does not list its pins and pads: that half of a connection-box
+//! edge is read from the pin's or pad's own list ([`Rrg::adjacent`]).
+//!
+//! The router relies on one ordering invariant. Linking both ends of
+//! every edge in build order (switch boxes, then tiles, then pads) would
+//! give each wire the neighbour list *its stored wires, in order,
+//! followed by the pins and pads that list it, in increasing id*. So a
+//! search that relaxes a wire's stored list and then the pins and pads
+//! it may enter, in increasing id, pushes exactly what a search over
+//! those full lists would. The unit tests pin this against such a
+//! builder on every test architecture.
+//!
+//! Node kinds are not stored either: ids follow a fixed order (see
+//! [`Rrg`]), so [`Rrg::node`] and [`Rrg::kind`] are closed-form inverses
+//! and [`Rrg::is_wire`] compares an id against [`Rrg::wire_count`].
 //!
 //! Every node also carries its corner-grid extent ([`NodeSpan`],
 //! precomputed at build time): one hop never traverses more than one
@@ -147,14 +175,17 @@ impl NodeSpan {
 
 /// The routing resource graph for one architecture instance.
 ///
-/// Node ids follow the fixed order in which [`Rrg::build`] adds nodes —
-/// horizontal wires, vertical wires, each tile's output then input
-/// pins, pads — so [`Rrg::node`] is a closed-form index, not a map.
+/// Node ids follow a fixed order — horizontal wires, vertical wires, each
+/// tile's output then input pins, pads — so [`Rrg::node`] and
+/// [`Rrg::kind`] are closed-form, and wires hold the ids below
+/// [`Rrg::wire_count`].
 #[derive(Debug, Clone)]
 pub struct Rrg {
-    nodes: Vec<RrNodeKind>,
     spans: Vec<NodeSpan>,
-    adj: Vec<Vec<NodeId>>,
+    /// CSR offsets: node `i`'s adjacent wires are
+    /// `wires[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    wires: Vec<NodeId>,
     pad_count: usize,
     width: usize,
     height: usize,
@@ -168,85 +199,153 @@ impl Rrg {
     ///
     /// # Panics
     ///
-    /// Panics if `arch` fails [`ArchSpec::assert_valid`].
+    /// Panics if `arch` fails [`ArchSpec::assert_valid`], or if the graph
+    /// has more nodes or edges than a `u32` can index.
     #[must_use]
     pub fn build(arch: &ArchSpec) -> Self {
         arch.assert_valid();
         let (w, h, cw) = (arch.width, arch.height, arch.channel_width);
-        let pad_total = 2 * w + 2 * h;
         let mut g = Self {
-            nodes: Vec::new(),
             spans: Vec::new(),
-            adj: Vec::new(),
-            pad_count: pad_total,
+            offsets: Vec::new(),
+            wires: Vec::new(),
+            // Pads: one per perimeter channel segment — south row, north
+            // row, west column, east column, in that order.
+            pad_count: 2 * w + 2 * h,
             width: w,
             height: h,
             channel_width: cw,
             plb_outputs: arch.plb.outputs,
             plb_inputs: arch.plb.inputs,
         };
+        let n = g.len();
+        let index = |v: usize| u32::try_from(v).expect("graph too large");
+        g.spans = (0..n)
+            .map(|i| g.span_of(g.kind(NodeId(index(i)))))
+            .collect();
 
-        // Wires.
-        for y in 0..=h {
-            for x in 0..w {
-                for t in 0..cw {
-                    g.add(RrNodeKind::HWire { x, y, t });
-                }
-            }
+        // Wires: each one's switch-box wires in link order — count, then
+        // fill.
+        let wire_total = g.wire_count();
+        let mut offsets = vec![0u32; n + 1];
+        g.for_each_switch_link(arch.switchbox, |a, b| {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        });
+        for i in 0..wire_total {
+            offsets[i + 1] = index(offsets[i] as usize + offsets[i + 1] as usize);
         }
-        for x in 0..=w {
-            for y in 0..h {
-                for t in 0..cw {
-                    g.add(RrNodeKind::VWire { x, y, t });
-                }
-            }
-        }
-        // Pins.
+        let mut cursor = offsets[..wire_total].to_vec();
+        let (n_out, n_in) = (arch.fc_out_tracks(), arch.fc_in_tracks());
+        let taps = w * h * 4 * (g.plb_outputs * n_out + g.plb_inputs * n_in) + g.pad_count * cw;
+        let mut wires = vec![NodeId::default(); offsets[wire_total] as usize];
+        wires.reserve_exact(taps);
+        g.for_each_switch_link(arch.switchbox, |a, b| {
+            wires[cursor[a] as usize] = NodeId(index(b));
+            cursor[a] += 1;
+            wires[cursor[b] as usize] = NodeId(index(a));
+            cursor[b] += 1;
+        });
+
+        // Pins, in id order: consecutive-track patterns staggered by pin
+        // index, each track on the tile's four bounding channels. Under a
+        // disjoint switch box, track domains never mix, so strided
+        // patterns can maroon output pins on tracks no input pin taps;
+        // consecutive windows guarantee overlap whenever
+        // fc_in + fc_out > 1 (the paper preset uses fc_in = 1).
+        let mut next = wire_total;
+        let mut close = |len: usize| {
+            next += 1;
+            offsets[next] = index(len);
+        };
         for y in 0..h {
             for x in 0..w {
-                for pin in 0..arch.plb.outputs {
-                    g.add(RrNodeKind::Opin { x, y, pin });
+                for (pins, tracks) in [(g.plb_outputs, n_out), (g.plb_inputs, n_in)] {
+                    for pin in 0..pins {
+                        for k in 0..tracks {
+                            let t = (pin + k) % cw;
+                            wires.extend(
+                                [
+                                    g.h_wire(x, y, t),     // south
+                                    g.h_wire(x, y + 1, t), // north
+                                    g.v_wire(x, y, t),     // west
+                                    g.v_wire(x + 1, y, t), // east
+                                ]
+                                .map(|i| NodeId(index(i))),
+                            );
+                        }
+                        close(wires.len());
+                    }
                 }
-                for pin in 0..arch.plb.inputs {
-                    g.add(RrNodeKind::Ipin { x, y, pin });
-                }
-            }
-        }
-        // Pads: one per perimeter channel segment end — south row, north
-        // row, west column, east column, in that order.
-        for id in 0..pad_total {
-            g.add(RrNodeKind::Pad { id });
-        }
-
-        // Switch boxes.
-        for sx in 0..=w {
-            for sy in 0..=h {
-                g.connect_switchbox(arch, sx, sy);
-            }
-        }
-        // Connection boxes.
-        for y in 0..h {
-            for x in 0..w {
-                g.connect_tile(arch, x, y);
             }
         }
         // Pads onto their perimeter channel segment (all tracks — pads
         // are peripheral and cheap).
-        for id in 0..pad_total {
-            let wires: Vec<RrNodeKind> = (0..cw).map(|t| g.pad_channel(id, t)).collect();
-            for kind in wires {
-                g.link_kind(RrNodeKind::Pad { id }, kind);
+        for id in 0..g.pad_count {
+            for t in 0..cw {
+                wires.push(g.node(g.pad_channel(id, t)).expect("pad channel in graph"));
             }
+            close(wires.len());
         }
+        debug_assert_eq!(next, n, "every node's list closed");
+        g.offsets = offsets;
+        g.wires = wires;
         g
     }
 
-    fn add(&mut self, kind: RrNodeKind) {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("graph too large"));
-        debug_assert_eq!(self.node(kind), Some(id), "build order drifted from node()");
-        self.nodes.push(kind);
-        self.spans.push(self.span_of(kind));
-        self.adj.push(Vec::new());
+    /// Id index of wire `H(x, y, t)`.
+    fn h_wire(&self, x: usize, y: usize, t: usize) -> usize {
+        (y * self.width + x) * self.channel_width + t
+    }
+
+    /// Id index of wire `V(x, y, t)`.
+    fn v_wire(&self, x: usize, y: usize, t: usize) -> usize {
+        self.v_base() + (x * self.height + y) * self.channel_width + t
+    }
+
+    /// First vertical-wire id.
+    fn v_base(&self) -> usize {
+        (self.height + 1) * self.width * self.channel_width
+    }
+
+    /// First pad id.
+    fn pad_base(&self) -> usize {
+        self.wire_count() + self.width * self.height * (self.plb_outputs + self.plb_inputs)
+    }
+
+    /// Calls `link(a, b)` for every switch-box edge, as wire id indices:
+    /// corners column by column, each corner track by track, and per
+    /// track the straight-through connections before the turns.
+    fn for_each_switch_link(&self, switchbox: SwitchBoxKind, mut link: impl FnMut(usize, usize)) {
+        let (w, h, cw) = (self.width, self.height, self.channel_width);
+        for sx in 0..=w {
+            for sy in 0..=h {
+                for t in 0..cw {
+                    // Incident wire stubs at this corner.
+                    let west = (sx > 0).then(|| self.h_wire(sx - 1, sy, t));
+                    let east = (sx < w).then(|| self.h_wire(sx, sy, t));
+                    // Straight-through connections keep the track index.
+                    if let (Some(a), Some(b)) = (west, east) {
+                        link(a, b);
+                    }
+                    if sy > 0 && sy < h {
+                        link(self.v_wire(sx, sy - 1, t), self.v_wire(sx, sy, t));
+                    }
+                    // Turns: disjoint keeps the track, Wilton rotates by one.
+                    let tt = match switchbox {
+                        SwitchBoxKind::Disjoint => t,
+                        SwitchBoxKind::Wilton => (t + 1) % cw,
+                    };
+                    let south = (sy > 0).then(|| self.v_wire(sx, sy - 1, tt));
+                    let north = (sy < h).then(|| self.v_wire(sx, sy, tt));
+                    for (a, b) in [(west, south), (west, north), (east, south), (east, north)] {
+                        if let (Some(a), Some(b)) = (a, b) {
+                            link(a, b);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Corner-grid extent of `kind` (see [`NodeSpan`]).
@@ -303,128 +402,92 @@ impl Rrg {
         }
     }
 
-    fn connect_switchbox(&mut self, arch: &ArchSpec, sx: usize, sy: usize) {
-        let cw = arch.channel_width;
-        for t in 0..cw {
-            // Incident wire stubs at this corner.
-            let west = (sx > 0).then(|| RrNodeKind::HWire {
-                x: sx - 1,
-                y: sy,
-                t,
-            });
-            let east = (sx < self.width).then_some(RrNodeKind::HWire { x: sx, y: sy, t });
-            let south = (sy > 0).then(|| RrNodeKind::VWire {
-                x: sx,
-                y: sy - 1,
-                t,
-            });
-            let north = (sy < self.height).then_some(RrNodeKind::VWire { x: sx, y: sy, t });
-
-            let turn = |track: usize| match arch.switchbox {
-                SwitchBoxKind::Disjoint => track,
-                SwitchBoxKind::Wilton => (track + 1) % cw,
-            };
-
-            // Straight-through connections keep the track index.
-            if let (Some(a), Some(b)) = (west, east) {
-                self.link_kind(a, b);
-            }
-            if let (Some(a), Some(b)) = (south, north) {
-                self.link_kind(a, b);
-            }
-            // Turns: disjoint keeps the track, Wilton rotates by one.
-            let tt = turn(t);
-            let remap = |k: RrNodeKind| match k {
-                RrNodeKind::HWire { x, y, .. } => RrNodeKind::HWire { x, y, t: tt },
-                RrNodeKind::VWire { x, y, .. } => RrNodeKind::VWire { x, y, t: tt },
-                other => other,
-            };
-            for (a, b) in [(west, south), (west, north), (east, south), (east, north)] {
-                if let (Some(a), Some(b)) = (a, b) {
-                    self.link_kind(a, remap(b));
-                }
-            }
-        }
-    }
-
-    fn connect_tile(&mut self, arch: &ArchSpec, x: usize, y: usize) {
-        let cw = arch.channel_width;
-        // The four channels bounding tile (x, y).
-        let channels = |t: usize| {
-            [
-                RrNodeKind::HWire { x, y, t },        // south
-                RrNodeKind::HWire { x, y: y + 1, t }, // north
-                RrNodeKind::VWire { x, y, t },        // west
-                RrNodeKind::VWire { x: x + 1, y, t }, // east
-            ]
-        };
-        // Consecutive-track patterns staggered by pin index: under a
-        // disjoint switch box, track domains never mix, so strided
-        // patterns can marooon output pins on tracks no input pin taps;
-        // consecutive windows guarantee overlap whenever
-        // fc_in + fc_out > 1 (the paper preset uses fc_in = 1).
-        let n_out = arch.fc_out_tracks();
-        for pin in 0..arch.plb.outputs {
-            let opin = RrNodeKind::Opin { x, y, pin };
-            for k in 0..n_out {
-                let t = (pin + k) % cw;
-                for ch in channels(t) {
-                    self.link_kind(opin, ch);
-                }
-            }
-        }
-        let n_in = arch.fc_in_tracks();
-        for pin in 0..arch.plb.inputs {
-            let ipin = RrNodeKind::Ipin { x, y, pin };
-            for k in 0..n_in {
-                let t = (pin + k) % cw;
-                for ch in channels(t) {
-                    self.link_kind(ipin, ch);
-                }
-            }
-        }
-    }
-
-    fn link_kind(&mut self, a: RrNodeKind, b: RrNodeKind) {
-        let (Some(ia), Some(ib)) = (self.node(a), self.node(b)) else {
-            panic!("linking unknown node {a:?} or {b:?}");
-        };
-        if !self.adj[ia.index()].contains(&ib) {
-            self.adj[ia.index()].push(ib);
-            self.adj[ib.index()].push(ia);
-        }
-    }
-
     /// Node count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.pad_base() + self.pad_count
     }
 
     /// True when the graph has no nodes (never for a valid architecture).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
-    /// Kind of node `id`.
+    /// Kind of node `id`: the closed-form inverse of [`Rrg::node`].
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn kind(&self, id: NodeId) -> RrNodeKind {
-        self.nodes[id.index()]
+        let (w, h, cw) = (self.width, self.height, self.channel_width);
+        let (v_base, pin_base, pad_base) = (self.v_base(), self.wire_count(), self.pad_base());
+        let i = id.index();
+        if i < v_base {
+            let (segment, t) = (i / cw, i % cw);
+            RrNodeKind::HWire {
+                x: segment % w,
+                y: segment / w,
+                t,
+            }
+        } else if i < pin_base {
+            let (segment, t) = ((i - v_base) / cw, (i - v_base) % cw);
+            RrNodeKind::VWire {
+                x: segment / h,
+                y: segment % h,
+                t,
+            }
+        } else if i < pad_base {
+            let per_tile = self.plb_outputs + self.plb_inputs;
+            let (tile, pin) = ((i - pin_base) / per_tile, (i - pin_base) % per_tile);
+            let (x, y) = (tile % w, tile / w);
+            if pin < self.plb_outputs {
+                RrNodeKind::Opin { x, y, pin }
+            } else {
+                RrNodeKind::Ipin {
+                    x,
+                    y,
+                    pin: pin - self.plb_outputs,
+                }
+            }
+        } else {
+            assert!(i < self.len(), "node {id} out of range");
+            RrNodeKind::Pad { id: i - pad_base }
+        }
     }
 
-    /// Neighbours of `id`.
+    /// True when node `id` is a wire: the congestion-managed nodes,
+    /// which hold the ids below [`Rrg::wire_count`].
+    #[must_use]
+    pub fn is_wire(&self, id: NodeId) -> bool {
+        id.index() < self.wire_count()
+    }
+
+    /// The wires adjacent to `id`: a wire's switch-box wires, a pin's
+    /// connection-box wires or a pad's perimeter wires, in link order
+    /// (see the module docs for what a wire's list leaves out).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     #[must_use]
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.adj[id.index()]
+    pub fn adjacent_wires(&self, id: NodeId) -> &[NodeId] {
+        let i = id.index();
+        &self.wires[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// True when `a` and `b` share an edge, in either orientation. Every
+    /// edge has a wire end, so the answer is read from the list of the
+    /// other end: a pin's or pad's own list, or either wire's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
+    #[must_use]
+    pub fn adjacent(&self, a: NodeId, b: NodeId) -> bool {
+        let (list, other) = if self.is_wire(a) { (b, a) } else { (a, b) };
+        self.adjacent_wires(list).contains(&other)
     }
 
     /// Corner-grid extent of node `id` (see [`NodeSpan`]).
@@ -451,26 +514,22 @@ impl Rrg {
     ///
     /// The id is computed from the build order (see [`Rrg`]): kinds of
     /// one class occupy one contiguous block, row-major in the order
-    /// [`Rrg::build`] loops over them.
+    /// listed there.
     #[must_use]
     pub fn node(&self, kind: RrNodeKind) -> Option<NodeId> {
         let (w, h, cw) = (self.width, self.height, self.channel_width);
         let (outs, ins) = (self.plb_outputs, self.plb_inputs);
-        let v_base = (h + 1) * w * cw;
-        let pin_base = v_base + (w + 1) * h * cw;
-        let pad_base = pin_base + w * h * (outs + ins);
+        let pin_base = self.wire_count();
         let index = match kind {
-            RrNodeKind::HWire { x, y, t } if x < w && y <= h && t < cw => (y * w + x) * cw + t,
-            RrNodeKind::VWire { x, y, t } if x <= w && y < h && t < cw => {
-                v_base + (x * h + y) * cw + t
-            }
+            RrNodeKind::HWire { x, y, t } if x < w && y <= h && t < cw => self.h_wire(x, y, t),
+            RrNodeKind::VWire { x, y, t } if x <= w && y < h && t < cw => self.v_wire(x, y, t),
             RrNodeKind::Opin { x, y, pin } if x < w && y < h && pin < outs => {
                 pin_base + (y * w + x) * (outs + ins) + pin
             }
             RrNodeKind::Ipin { x, y, pin } if x < w && y < h && pin < ins => {
                 pin_base + (y * w + x) * (outs + ins) + outs + pin
             }
-            RrNodeKind::Pad { id } if id < self.pad_count => pad_base + id,
+            RrNodeKind::Pad { id } if id < self.pad_count => self.pad_base() + id,
             _ => return None,
         };
         u32::try_from(index).ok().map(NodeId)
@@ -498,13 +557,10 @@ impl Rrg {
         }
     }
 
-    /// Total wire nodes (for routing-stat reports).
+    /// Total wire nodes; wires hold the ids `0..wire_count()`.
     #[must_use]
     pub fn wire_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|k| matches!(k, RrNodeKind::HWire { .. } | RrNodeKind::VWire { .. }))
-            .count()
+        self.v_base() + (self.width + 1) * self.height * self.channel_width
     }
 }
 
@@ -518,6 +574,161 @@ mod tests {
         a
     }
 
+    /// Every switch-box kind, edge-case channel widths (1, 2, 4, 96),
+    /// a single tile and a PLB without auxiliary outputs.
+    fn architectures() -> Vec<ArchSpec> {
+        let with = |mut a: ArchSpec, cw: usize, switchbox: SwitchBoxKind| {
+            a.channel_width = cw;
+            a.switchbox = switchbox;
+            a
+        };
+        let (disjoint, wilton) = (SwitchBoxKind::Disjoint, SwitchBoxKind::Wilton);
+        vec![
+            ArchSpec::paper(1, 1),
+            ArchSpec::paper(2, 2),
+            arch(),
+            with(ArchSpec::paper(3, 3), 12, wilton),
+            with(ArchSpec::paper(4, 2), 1, disjoint),
+            with(ArchSpec::paper(4, 2), 1, wilton),
+            with(ArchSpec::paper(3, 2), 2, wilton),
+            ArchSpec::no_aux_outputs(2, 5),
+            with(ArchSpec::paper(5, 3), 96, disjoint),
+        ]
+    }
+
+    /// The full undirected adjacency, built the way the graph was before
+    /// it stored only wire lists: every edge linked at both ends, in
+    /// build order (switch boxes, tiles, pads), with a `contains` dedup.
+    /// Returns the lists and how often the dedup fired.
+    fn reference_adjacency(arch: &ArchSpec, g: &Rrg) -> (Vec<Vec<NodeId>>, usize) {
+        let (w, h, cw) = (arch.width, arch.height, arch.channel_width);
+        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); g.len()];
+        let mut dedup_hits = 0;
+        let mut link = |a: RrNodeKind, b: RrNodeKind| {
+            let (ia, ib) = (g.node(a).unwrap(), g.node(b).unwrap());
+            if adj[ia.index()].contains(&ib) {
+                dedup_hits += 1;
+            } else {
+                adj[ia.index()].push(ib);
+                adj[ib.index()].push(ia);
+            }
+        };
+        for sx in 0..=w {
+            for sy in 0..=h {
+                for t in 0..cw {
+                    let west = (sx > 0).then(|| RrNodeKind::HWire {
+                        x: sx - 1,
+                        y: sy,
+                        t,
+                    });
+                    let east = (sx < w).then_some(RrNodeKind::HWire { x: sx, y: sy, t });
+                    let south = (sy > 0).then(|| RrNodeKind::VWire {
+                        x: sx,
+                        y: sy - 1,
+                        t,
+                    });
+                    let north = (sy < h).then_some(RrNodeKind::VWire { x: sx, y: sy, t });
+                    if let (Some(a), Some(b)) = (west, east) {
+                        link(a, b);
+                    }
+                    if let (Some(a), Some(b)) = (south, north) {
+                        link(a, b);
+                    }
+                    let tt = match arch.switchbox {
+                        SwitchBoxKind::Disjoint => t,
+                        SwitchBoxKind::Wilton => (t + 1) % cw,
+                    };
+                    let remap = |k: RrNodeKind| match k {
+                        RrNodeKind::VWire { x, y, .. } => RrNodeKind::VWire { x, y, t: tt },
+                        other => other,
+                    };
+                    for (a, b) in [(west, south), (west, north), (east, south), (east, north)] {
+                        if let (Some(a), Some(b)) = (a, b) {
+                            link(a, remap(b));
+                        }
+                    }
+                }
+            }
+        }
+        for y in 0..h {
+            for x in 0..w {
+                let channels = |t: usize| {
+                    [
+                        RrNodeKind::HWire { x, y, t },
+                        RrNodeKind::HWire { x, y: y + 1, t },
+                        RrNodeKind::VWire { x, y, t },
+                        RrNodeKind::VWire { x: x + 1, y, t },
+                    ]
+                };
+                for pin in 0..arch.plb.outputs {
+                    for k in 0..arch.fc_out_tracks() {
+                        for ch in channels((pin + k) % cw) {
+                            link(RrNodeKind::Opin { x, y, pin }, ch);
+                        }
+                    }
+                }
+                for pin in 0..arch.plb.inputs {
+                    for k in 0..arch.fc_in_tracks() {
+                        for ch in channels((pin + k) % cw) {
+                            link(RrNodeKind::Ipin { x, y, pin }, ch);
+                        }
+                    }
+                }
+            }
+        }
+        for id in 0..g.pad_count() {
+            for t in 0..cw {
+                link(RrNodeKind::Pad { id }, g.pad_channel(id, t));
+            }
+        }
+        (adj, dedup_hits)
+    }
+
+    fn id(i: usize) -> NodeId {
+        NodeId(u32::try_from(i).unwrap())
+    }
+
+    #[test]
+    fn compact_graph_matches_reference_builder() {
+        for a in architectures() {
+            let g = Rrg::build(&a);
+            let (reference, dedup_hits) = reference_adjacency(&a, &g);
+            assert_eq!(dedup_hits, 0, "{}: an edge was linked twice", a.name);
+            // Per wire, the pins and pads whose lists name it, in
+            // increasing id.
+            let mut listed_by: Vec<Vec<NodeId>> = vec![Vec::new(); g.wire_count()];
+            for p in g.wire_count()..g.len() {
+                for &w in g.adjacent_wires(id(p)) {
+                    listed_by[w.index()].push(id(p));
+                }
+            }
+            for (i, full) in reference.iter().enumerate() {
+                let u = id(i);
+                let (wires, others): (Vec<NodeId>, Vec<NodeId>) =
+                    full.iter().partition(|&&v| g.is_wire(v));
+                assert_eq!(g.adjacent_wires(u), wires, "{} node {i}", a.name);
+                if g.is_wire(u) {
+                    // The router's invariant: the full list is the stored
+                    // wires, then the pins and pads, in increasing id.
+                    assert_eq!(full[..wires.len()], wires, "{} wire {i}", a.name);
+                    assert!(others.windows(2).all(|p| p[0] < p[1]), "{} {i}", a.name);
+                    assert_eq!(listed_by[i], others, "{} wire {i}", a.name);
+                } else {
+                    assert!(others.is_empty(), "{}: pin {i} touches a pin", a.name);
+                }
+                for &v in full {
+                    assert!(g.adjacent(u, v) && g.adjacent(v, u), "{} {i}-{v}", a.name);
+                }
+                // The first id that is neither `u` nor a neighbour.
+                let non_edge = (0..g.len())
+                    .map(id)
+                    .find(|&v| v != u && !full.contains(&v))
+                    .unwrap();
+                assert!(!g.adjacent(u, non_edge) && !g.adjacent(non_edge, u));
+            }
+        }
+    }
+
     #[test]
     fn node_counts() {
         let a = arch();
@@ -528,21 +739,21 @@ mod tests {
         let pins = 2 * 2 * (a.plb.inputs + a.plb.outputs);
         assert_eq!(g.len(), wires + pins + 8);
         assert!(!g.is_empty());
+        for i in 0..g.len() {
+            let wire = matches!(
+                g.kind(id(i)),
+                RrNodeKind::HWire { .. } | RrNodeKind::VWire { .. }
+            );
+            assert_eq!(g.is_wire(id(i)), wire, "node {i}");
+        }
     }
 
     #[test]
     fn node_index_inverts_kind_on_every_architecture() {
-        let mut wilton = ArchSpec::paper(3, 3);
-        wilton.switchbox = SwitchBoxKind::Wilton;
-        let mut narrow = ArchSpec::paper(4, 2);
-        narrow.channel_width = 1;
-        let mut tall = ArchSpec::no_aux_outputs(2, 5);
-        tall.channel_width = 12;
-        for a in [ArchSpec::paper(2, 2), arch(), wilton, narrow, tall] {
+        for a in architectures() {
             let g = Rrg::build(&a);
             for i in 0..g.len() {
-                let id = NodeId(u32::try_from(i).unwrap());
-                assert_eq!(g.node(g.kind(id)), Some(id), "{} node {i}", a.name);
+                assert_eq!(g.node(g.kind(id(i))), Some(id(i)), "{} node {i}", a.name);
             }
             let (w, h, cw) = (a.width, a.height, a.channel_width);
             let (ins, outs) = (a.plb.inputs, a.plb.outputs);
@@ -594,13 +805,13 @@ mod tests {
         // H(0,1,2) and H(1,1,2) meet at SB(1,1): straight-through.
         let a = g.node(RrNodeKind::HWire { x: 0, y: 1, t: 2 }).unwrap();
         let b = g.node(RrNodeKind::HWire { x: 1, y: 1, t: 2 }).unwrap();
-        assert!(g.neighbors(a).contains(&b));
+        assert!(g.adjacent_wires(a).contains(&b));
         // Turn at SB(1,1) onto V(1,0,2) and V(1,1,2) with same track.
         let s = g.node(RrNodeKind::VWire { x: 1, y: 0, t: 2 }).unwrap();
-        assert!(g.neighbors(a).contains(&s));
+        assert!(g.adjacent_wires(a).contains(&s));
         // Different track not connected under disjoint topology.
         let s3 = g.node(RrNodeKind::VWire { x: 1, y: 0, t: 3 }).unwrap();
-        assert!(!g.neighbors(a).contains(&s3));
+        assert!(!g.adjacent_wires(a).contains(&s3));
     }
 
     #[test]
@@ -611,10 +822,10 @@ mod tests {
         let h = g.node(RrNodeKind::HWire { x: 0, y: 1, t: 2 }).unwrap();
         // Straight still preserves track...
         let h2 = g.node(RrNodeKind::HWire { x: 1, y: 1, t: 2 }).unwrap();
-        assert!(g.neighbors(h).contains(&h2));
+        assert!(g.adjacent_wires(h).contains(&h2));
         // ...but turns land on track 3.
         let v3 = g.node(RrNodeKind::VWire { x: 1, y: 0, t: 3 }).unwrap();
-        assert!(g.neighbors(h).contains(&v3));
+        assert!(g.adjacent_wires(h).contains(&v3));
     }
 
     #[test]
@@ -622,7 +833,7 @@ mod tests {
         let a = arch();
         let g = Rrg::build(&a);
         let opin = g.node(RrNodeKind::Opin { x: 1, y: 1, pin: 0 }).unwrap();
-        let touches_channel = g.neighbors(opin).iter().any(|&n| {
+        let touches_channel = g.adjacent_wires(opin).iter().any(|&n| {
             matches!(
                 g.kind(n),
                 RrNodeKind::HWire { .. } | RrNodeKind::VWire { .. }
@@ -630,7 +841,7 @@ mod tests {
         });
         assert!(touches_channel);
         // fc = 0.5 on cw=4 -> 2 tracks × 4 channels.
-        assert_eq!(g.neighbors(opin).len(), 8);
+        assert_eq!(g.adjacent_wires(opin).len(), 8);
     }
 
     #[test]
@@ -639,7 +850,7 @@ mod tests {
         for id in 0..g.pad_count() {
             let pad = g.node(RrNodeKind::Pad { id }).unwrap();
             assert!(
-                !g.neighbors(pad).is_empty(),
+                !g.adjacent_wires(pad).is_empty(),
                 "pad {id} must reach the fabric"
             );
             let (x, y) = g.pad_position(id);
@@ -719,45 +930,61 @@ mod tests {
     #[test]
     fn span_lower_bounds_hop_count() {
         // The admissibility invariant the router's A* relies on: along
-        // any adjacency edge the span gap to a fixed target shrinks by
-        // at most 1.
+        // any adjacency edge, in either direction, the span gap to a
+        // fixed target shrinks by at most 1.
         let g = Rrg::build(&arch());
         let target = g.span(g.node(RrNodeKind::Ipin { x: 1, y: 1, pin: 0 }).unwrap());
+        let gap = |n: NodeId| g.span(n).manhattan_to(target);
         for i in 0..g.len() {
-            let u = NodeId(u32::try_from(i).unwrap());
-            let du = g.span(u).manhattan_to(target);
-            for &v in g.neighbors(u) {
-                let dv = g.span(v).manhattan_to(target);
-                assert!(
-                    dv + 1 >= du,
-                    "edge {:?} -> {:?} shrinks the gap by more than one ({du} -> {dv})",
-                    g.kind(u),
-                    g.kind(v)
-                );
+            let u = id(i);
+            for &v in g.adjacent_wires(u) {
+                for (a, b) in [(u, v), (v, u)] {
+                    assert!(
+                        gap(b) + 1 >= gap(a),
+                        "edge {:?} -> {:?} shrinks the gap by more than one ({} -> {})",
+                        g.kind(a),
+                        g.kind(b),
+                        gap(a),
+                        gap(b)
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn fabric_is_connected() {
-        // BFS from pad 0 must reach every pin and pad.
+        // BFS from pad 0 must reach every pin and pad. A wire's pins and
+        // pads are the ones whose lists name it.
         let g = Rrg::build(&arch());
+        let mut listed_by: Vec<Vec<NodeId>> = vec![Vec::new(); g.wire_count()];
+        for p in g.wire_count()..g.len() {
+            for &w in g.adjacent_wires(id(p)) {
+                listed_by[w.index()].push(id(p));
+            }
+        }
         let start = g.node(RrNodeKind::Pad { id: 0 }).unwrap();
         let mut seen = vec![false; g.len()];
         let mut queue = std::collections::VecDeque::from([start]);
         seen[start.index()] = true;
         while let Some(n) = queue.pop_front() {
-            for &m in g.neighbors(n) {
+            let pins: &[NodeId] = if g.is_wire(n) {
+                &listed_by[n.index()]
+            } else {
+                &[]
+            };
+            for &m in g.adjacent_wires(n).iter().chain(pins) {
                 if !seen[m.index()] {
                     seen[m.index()] = true;
                     queue.push_back(m);
                 }
             }
         }
-        for (i, kind) in (0..g.len()).map(|i| (i, g.kind(NodeId(i as u32)))) {
+        for (i, &reached) in seen.iter().enumerate() {
             assert!(
-                seen[i],
-                "node {kind:?} unreachable from pad 0 — fabric is split"
+                reached,
+                "node {:?} unreachable from pad 0 — fabric is split",
+                g.kind(id(i))
             );
         }
     }

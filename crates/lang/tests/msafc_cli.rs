@@ -120,6 +120,8 @@ pipeline p {
         "flow.techmap",
         "flow.pack",
         "flow.place",
+        "flow.rrg",
+        "flow.bind",
         "flow.route",
         "flow.bitgen",
         "route.iteration",

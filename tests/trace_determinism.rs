@@ -206,6 +206,8 @@ fn recorded_flow_renders_a_wellformed_chrome_trace() {
         "flow.techmap",
         "flow.pack",
         "flow.place",
+        "flow.rrg",
+        "flow.bind",
         "flow.route",
         "flow.bitgen",
     ] {
