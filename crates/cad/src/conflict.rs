@@ -63,25 +63,6 @@ pub struct ConflictGraph {
 }
 
 impl ConflictGraph {
-    /// Builds the graph geometrically: vertices are `boxes` (one net
-    /// box per rerouting net, in the caller's negotiation order), and
-    /// `i` conflicts with `j` iff some hotspot span overlaps both
-    /// boxes. A convenience wrapper over
-    /// [`ConflictGraph::from_members`] for callers (and tests) with
-    /// genuinely rectangular extents.
-    #[must_use]
-    pub fn build(boxes: &[NodeSpan], hotspots: &[NodeSpan]) -> Self {
-        let members: Vec<Vec<usize>> = hotspots
-            .iter()
-            .map(|&h| {
-                (0..boxes.len())
-                    .filter(|&i| overlaps(boxes[i], h))
-                    .collect()
-            })
-            .collect();
-        Self::from_members(boxes.len(), &members)
-    }
-
     /// Builds the graph from explicit per-hotspot covering sets: each
     /// entry of `members` lists the vertices covering one hotspot (any
     /// order, duplicates allowed), and every such set is connected into
@@ -225,6 +206,21 @@ mod tests {
         }
     }
 
+    /// The geometric coverage rule the router gave up (see the module
+    /// docs): net `i` covers a hotspot iff its box overlaps the
+    /// hotspot's span. Rectangles make test graphs easy to draw.
+    fn build(boxes: &[NodeSpan], hotspots: &[NodeSpan]) -> ConflictGraph {
+        let members: Vec<Vec<usize>> = hotspots
+            .iter()
+            .map(|&h| {
+                (0..boxes.len())
+                    .filter(|&i| overlaps(boxes[i], h))
+                    .collect()
+            })
+            .collect();
+        ConflictGraph::from_members(boxes.len(), &members)
+    }
+
     #[test]
     fn overlap_is_inclusive_and_symmetric() {
         let a = span(0, 0, 2, 2);
@@ -242,7 +238,7 @@ mod tests {
         // edge, a single class of 2.
         let boxes = [span(0, 0, 2, 2), span(8, 8, 10, 10)];
         let hotspots = [span(1, 1, 1, 1), span(9, 9, 9, 9)];
-        let g = ConflictGraph::build(&boxes, &hotspots);
+        let g = build(&boxes, &hotspots);
         assert_eq!(g.edges(), 0);
         assert!(!g.conflicts(0, 1));
         let c = g.greedy_color();
@@ -257,7 +253,7 @@ mod tests {
         // singleton classes — degenerating to exact Gauss-Seidel.
         let boxes = [span(0, 0, 4, 4); 3];
         let hotspots = [span(2, 2, 2, 2)];
-        let g = ConflictGraph::build(&boxes, &hotspots);
+        let g = build(&boxes, &hotspots);
         assert_eq!(g.edges(), 3);
         let c = g.greedy_color();
         assert_eq!(c.num_colors, 3);
@@ -271,7 +267,7 @@ mod tests {
         // but not with each other: colors 0,1,0.
         let boxes = [span(0, 0, 4, 1), span(3, 0, 7, 1), span(6, 0, 10, 1)];
         let hotspots = [span(3, 0, 4, 1), span(6, 0, 7, 1)];
-        let g = ConflictGraph::build(&boxes, &hotspots);
+        let g = build(&boxes, &hotspots);
         assert!(g.conflicts(0, 1));
         assert!(g.conflicts(1, 2));
         assert!(!g.conflicts(0, 2));
@@ -298,7 +294,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = ConflictGraph::build(&[], &[span(0, 0, 1, 1)]);
+        let g = build(&[], &[span(0, 0, 1, 1)]);
         assert!(g.is_empty());
         let c = g.greedy_color();
         assert_eq!(c.num_colors, 0);
@@ -310,7 +306,7 @@ mod tests {
     fn duplicate_hotspots_do_not_double_count_edges() {
         let boxes = [span(0, 0, 4, 4), span(0, 0, 4, 4)];
         let hotspots = [span(1, 1, 1, 1), span(1, 1, 2, 2)];
-        let g = ConflictGraph::build(&boxes, &hotspots);
+        let g = build(&boxes, &hotspots);
         assert_eq!(g.edges(), 1);
     }
 
@@ -326,7 +322,7 @@ mod tests {
             })
             .collect();
         let hotspots: Vec<NodeSpan> = (0..25u16).map(|i| span(i * 2, i, i * 2, i + 1)).collect();
-        let g = ConflictGraph::build(&boxes, &hotspots);
+        let g = build(&boxes, &hotspots);
         let c = g.greedy_color();
         for i in 0..n {
             for j in 0..i {

@@ -238,10 +238,11 @@ pub struct RouteOptions {
     /// fixed [`Self::chunk`]; threads only change wall time.
     pub threads: usize,
     /// Nets per first-iteration chunk (the unit of deterministic
-    /// occupancy merging — see the module docs; congested iterations
-    /// always negotiate net-by-net). `1` is the historical serial
-    /// discipline; the default 16 gives chunk-wide parallelism with a
-    /// congestion view at most 15 nets stale.
+    /// occupancy merging — see the module docs). At `2` or more,
+    /// congested iterations route conflict-graph color classes; `1` is
+    /// the historical serial discipline, net-by-net in every iteration.
+    /// The default 16 gives chunk-wide parallelism with a congestion
+    /// view at most 15 nets stale.
     pub chunk: usize,
     /// Timing-driven blend strength in `[0, 1]`: each search's cost is
     /// `c·delay + (1−c)·congestion` with

@@ -46,7 +46,7 @@
 //! net at its worst sink.
 
 use crate::route::{RouteRequest, TimingSource, WIRE_DELAY};
-use crate::techmap::{MappedDesign, Producer, SignalId};
+use crate::techmap::{MappedDesign, SignalId};
 use msaf_fabric::le::LeOutput;
 use msaf_trace::Tracer;
 
@@ -519,19 +519,6 @@ impl TimingSource for RouteTimingCtx<'_> {
     }
 }
 
-/// Signals that launch at arrival 0 — kept for the doc narrative and
-/// tests: PIs, feedback outputs, PDE outputs and constants.
-#[must_use]
-pub fn is_launch(design: &MappedDesign, signal: usize) -> bool {
-    match design.producers[signal] {
-        Producer::Pi | Producer::Pde { .. } | Producer::Const(_) => true,
-        Producer::Le { le, tap } => design.les[le]
-            .funcs
-            .iter()
-            .any(|f| f.tap == tap && f.feedback),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,16 +703,22 @@ mod tests {
     #[test]
     fn launch_points_classified() {
         let mapped = map(&qdi_full_adder(), &ArchSpec::paper(4, 4)).unwrap();
+        let zeros = vec![0u64; mapped.signal_names.len()];
+        let sa = TimingGraph::build(&mapped).analyze(&mapped, &zeros);
         for &pi in &mapped.pis {
-            assert!(is_launch(&mapped, pi.index()));
+            assert_eq!(sa.arrival[pi.index()], 0);
         }
         // Every feedback output is a launch point.
-        for le in &mapped.les {
-            for f in &le.funcs {
-                if f.feedback {
-                    assert!(is_launch(&mapped, f.output.index()));
-                }
+        let mut feedback = 0;
+        for f in mapped.les.iter().flat_map(|le| &le.funcs) {
+            if f.feedback {
+                assert_eq!(sa.arrival[f.output.index()], 0);
+                feedback += 1;
             }
         }
+        assert!(
+            feedback > 0,
+            "a QDI full adder holds state in feedback LUTs"
+        );
     }
 }

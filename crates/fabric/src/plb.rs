@@ -172,37 +172,6 @@ impl PlbConfig {
         }
         Ok(())
     }
-
-    /// External PLB input pins referenced by the IM, sorted and deduped.
-    #[must_use]
-    pub fn external_inputs_used(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .im
-            .iter()
-            .filter_map(|(_, src)| match src {
-                ImSource::PlbInput(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// External PLB output pins driven by the IM, sorted.
-    #[must_use]
-    pub fn external_outputs_used(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .im
-            .iter()
-            .filter_map(|(sink, _)| match sink {
-                ImSink::PlbOut(o) => Some(*o),
-                _ => None,
-            })
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -291,16 +260,5 @@ mod tests {
         let mut cfg2 = PlbConfig::empty(&arch.plb);
         cfg2.im_connect(ImSink::PlbOut(0), ImSource::LeOut(0, LeOutput::Root));
         assert!(cfg2.check(&arch.plb).is_ok());
-    }
-
-    #[test]
-    fn external_pin_queries() {
-        let mut cfg = PlbConfig::empty(&spec());
-        cfg.im_connect(ImSink::LeIn { le: 0, pin: 0 }, ImSource::PlbInput(4));
-        cfg.im_connect(ImSink::LeIn { le: 1, pin: 0 }, ImSource::PlbInput(4));
-        cfg.im_connect(ImSink::LeIn { le: 1, pin: 1 }, ImSource::PlbInput(2));
-        cfg.im_connect(ImSink::PlbOut(3), ImSource::LeOut(1, LeOutput::Root));
-        assert_eq!(cfg.external_inputs_used(), vec![2, 4]);
-        assert_eq!(cfg.external_outputs_used(), vec![3]);
     }
 }

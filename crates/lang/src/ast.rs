@@ -2,9 +2,8 @@
 //!
 //! Every node keeps the [`Span`] of the source text it came from so the
 //! semantic checks in [`crate::check`] can report precise locations.
-//! The span-free, order-canonical form with the pretty-printer is
-//! [`crate::hir`]: a flat pipeline converts to a module-free
-//! [`crate::hir::Program`].
+//! [`crate::expand()`] produces it from the hierarchical
+//! [`crate::hast::Program`], whose `Display` is the canonical printer.
 
 use crate::diag::Span;
 

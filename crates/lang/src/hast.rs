@@ -7,11 +7,17 @@
 //! [`crate::ast::Pipeline`] the checker and elaborator consume — flat
 //! sources pass through unchanged (same names, same spans).
 //!
-//! The span-free canonical form with the pretty-printer lives in
-//! [`crate::hir`].
+//! [`Program`]'s `Display` is the canonical printer, for flat and
+//! hierarchical sources alike. It ignores spans, and its text parses
+//! back to the same tree up to spans (pinned by the grammar property
+//! tests). Canonical print rules: constant `Bin`
+//! expressions are fully parenthesized, slices always print the explicit
+//! `[lo..hi]` form, interpolation holes print as `#<int>`, `#<name>` or
+//! `#(<cexpr>)`, and empty instantiation param lists omit the `<>`.
 
 use crate::ast::{OpKind, PortDir};
 use crate::diag::Span;
+use std::fmt;
 
 /// A binary operator in a compile-time constant expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,4 +288,153 @@ pub struct Program {
     pub modules: Vec<Module>,
     /// The pipeline.
     pub pipeline: HPipeline,
+}
+
+// ---- canonical printer ------------------------------------------------
+
+fn write_sep<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T], sep: &str) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(sep)?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
+}
+
+impl fmt::Display for CExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CExpr::Int { value, .. } => write!(f, "{value}"),
+            CExpr::Var { name, .. } => f.write_str(name),
+            CExpr::Bin { op, lhs, rhs, .. } => write!(f, "({lhs} {} {rhs})", op.symbol()),
+        }
+    }
+}
+
+impl fmt::Display for IName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.base)?;
+        for h in &self.holes {
+            // `Bin` prints its own parentheses, which double as the
+            // hole's `#(<cexpr>)` form.
+            write!(f, "#{h}")?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for HExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HExpr::Ref { name } => write!(f, "{name}"),
+            HExpr::Slice { name, lo, hi, .. } => write!(f, "{name}[{lo}..{hi}]"),
+            HExpr::Op { op, args, .. } => {
+                write!(f, "{}(", op.name())?;
+                write_sep(f, args, ", ")?;
+                f.write_str(")")
+            }
+        }
+    }
+}
+
+impl fmt::Display for HPort {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kw = match self.dir {
+            PortDir::Input => "input",
+            PortDir::Output => "output",
+        };
+        write!(f, "{kw} {}[{}]", self.name, self.width)
+    }
+}
+
+fn write_stmt(f: &mut fmt::Formatter<'_>, s: &HStmt, indent: usize) -> fmt::Result {
+    let pad = "  ".repeat(indent);
+    match s {
+        HStmt::Let { name, expr } => writeln!(f, "{pad}let {name} = {expr};"),
+        HStmt::Inst {
+            targets,
+            module,
+            params,
+            args,
+            ..
+        } => {
+            write!(f, "{pad}let ")?;
+            write_sep(f, targets, ", ")?;
+            write!(f, " = {module}")?;
+            if !params.is_empty() {
+                f.write_str("<")?;
+                write_sep(f, params, ", ")?;
+                f.write_str(">")?;
+            }
+            f.write_str("(")?;
+            write_sep(f, args, ", ")?;
+            writeln!(f, ");")
+        }
+        HStmt::Assign { target, expr, .. } => writeln!(f, "{pad}{target} = {expr};"),
+        HStmt::For {
+            var, lo, hi, body, ..
+        } => {
+            writeln!(f, "{pad}for {var} = {lo}..{hi} {{")?;
+            for st in body {
+                write_stmt(f, st, indent + 1)?;
+            }
+            writeln!(f, "{pad}}}")
+        }
+    }
+}
+
+fn write_item(f: &mut fmt::Formatter<'_>, item: &StageItem, indent: usize) -> fmt::Result {
+    let pad = "  ".repeat(indent);
+    match item {
+        StageItem::Stage(s) => {
+            writeln!(f, "{pad}stage {} {{", s.name)?;
+            for st in &s.stmts {
+                write_stmt(f, st, indent + 1)?;
+            }
+            writeln!(f, "{pad}}}")
+        }
+        StageItem::For {
+            var, lo, hi, body, ..
+        } => {
+            writeln!(f, "{pad}for {var} = {lo}..{hi} {{")?;
+            for it in body {
+                write_item(f, it, indent + 1)?;
+            }
+            writeln!(f, "{pad}}}")
+        }
+    }
+}
+
+impl fmt::Display for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for m in &self.modules {
+            write!(f, "module {}(", m.name)?;
+            for (i, (p, _)) in m.params.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                f.write_str(p)?;
+            }
+            f.write_str(")(")?;
+            write_sep(f, &m.ports, "; ")?;
+            writeln!(f, ") {{")?;
+            for s in &m.body {
+                write_stmt(f, s, 1)?;
+            }
+            writeln!(f, "}}")?;
+        }
+        let p = &self.pipeline;
+        writeln!(f, "pipeline {} {{", p.name)?;
+        for d in &p.params {
+            writeln!(f, "  param {} = {};", d.name, d.value)?;
+        }
+        for port in &p.ports {
+            writeln!(f, "  {port};")?;
+        }
+        for item in &p.items {
+            write_item(f, item, 1)?;
+        }
+        writeln!(f, "}}")
+    }
 }

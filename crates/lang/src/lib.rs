@@ -20,7 +20,8 @@
 //!
 //! 1. [`parser::parse`] — lexer + recursive-descent parser with byte-span
 //!    diagnostics ([`diag::Diag::render`] reports line/column positions)
-//!    producing the hierarchical AST in [`hast`];
+//!    producing the hierarchical AST in [`hast`], whose `Display` prints
+//!    canonical source;
 //! 2. [`expand::expand`] — hierarchy expansion: unrolls generate loops,
 //!    evaluates constant expressions, and splices module instances into
 //!    a flat [`ast::Pipeline`] with deterministic instance-qualified
@@ -61,7 +62,6 @@ pub mod diag;
 pub mod elab;
 pub mod expand;
 pub mod hast;
-pub mod hir;
 pub mod lexer;
 pub mod parser;
 pub mod token;

@@ -70,19 +70,6 @@ impl Encoding {
     pub fn is_delay_insensitive(&self) -> bool {
         !matches!(self, Encoding::Bundled { .. })
     }
-
-    /// Number of payload bits one token carries.
-    #[must_use]
-    pub fn payload_bits(&self) -> usize {
-        match *self {
-            Encoding::Bundled { width } | Encoding::DualRail { width } => width,
-            Encoding::OneOfN { n, digits } => {
-                // Each digit carries log2(n) bits, rounded down; for the
-                // common 1-of-4 code this is exactly 2 bits.
-                digits * (usize::BITS - 1 - n.leading_zeros()) as usize
-            }
-        }
-    }
 }
 
 impl fmt::Display for Encoding {
@@ -201,34 +188,6 @@ impl Channel {
         &self.data
     }
 
-    /// The true rail of dual-rail bit `bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the encoding is not dual-rail or `bit` is out of range.
-    #[must_use]
-    pub fn rail_t(&self, bit: usize) -> NetId {
-        assert!(
-            matches!(self.encoding, Encoding::DualRail { .. }),
-            "rail_t on non-dual-rail channel"
-        );
-        self.data[2 * bit]
-    }
-
-    /// The false rail of dual-rail bit `bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the encoding is not dual-rail or `bit` is out of range.
-    #[must_use]
-    pub fn rail_f(&self, bit: usize) -> NetId {
-        assert!(
-            matches!(self.encoding, Encoding::DualRail { .. }),
-            "rail_f on non-dual-rail channel"
-        );
-        self.data[2 * bit + 1]
-    }
-
     /// Checks internal consistency: rail count matches encoding, request
     /// presence matches encoding, and all net ids are below `net_count`.
     ///
@@ -287,14 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn encoding_payload_bits() {
-        assert_eq!(Encoding::Bundled { width: 8 }.payload_bits(), 8);
-        assert_eq!(Encoding::DualRail { width: 8 }.payload_bits(), 8);
-        assert_eq!(Encoding::OneOfN { n: 4, digits: 3 }.payload_bits(), 6);
-        assert_eq!(Encoding::OneOfN { n: 2, digits: 5 }.payload_bits(), 5);
-    }
-
-    #[test]
     fn delay_insensitivity_flag() {
         assert!(!Encoding::Bundled { width: 1 }.is_delay_insensitive());
         assert!(Encoding::DualRail { width: 1 }.is_delay_insensitive());
@@ -313,10 +264,6 @@ mod tests {
             nets[4],
             nets[..4].to_vec(),
         );
-        assert_eq!(ch.rail_t(0), nets[0]);
-        assert_eq!(ch.rail_f(0), nets[1]);
-        assert_eq!(ch.rail_t(1), nets[2]);
-        assert_eq!(ch.rail_f(1), nets[3]);
         assert!(ch.check_shape(5).is_ok());
     }
 

@@ -75,12 +75,6 @@ impl FanoutIndex {
     pub fn net_count(&self) -> usize {
         self.offsets.len() - 1
     }
-
-    /// Total sink pins across all nets.
-    #[must_use]
-    pub fn sink_count(&self) -> usize {
-        self.sinks.len()
-    }
 }
 
 impl Netlist {
@@ -106,14 +100,11 @@ mod tests {
         let (_, _y2) = nl.add_gate_new(GateKind::Xor, "g2", &[y0, y1]);
         let idx = nl.fanout_index();
         assert_eq!(idx.net_count(), nl.nets().len());
-        let mut total = 0;
         for (id, net) in nl.iter_nets() {
             let via_csr: Vec<GateId> = idx.gates_of(id).to_vec();
             let via_net: Vec<GateId> = net.sinks().iter().map(|s| s.gate).collect();
             assert_eq!(via_csr, via_net, "net {id}");
-            total += via_net.len();
         }
-        assert_eq!(idx.sink_count(), total);
     }
 
     #[test]
@@ -131,6 +122,5 @@ mod tests {
         let a = nl.add_input("unused");
         let idx = nl.fanout_index();
         assert!(idx.gates_of(a).is_empty());
-        assert_eq!(idx.sink_count(), 0);
     }
 }

@@ -245,15 +245,6 @@ impl Netlist {
         (gate, out)
     }
 
-    /// Sets the reset value of a gate's output (see [`Gate::init`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is out of range.
-    pub fn set_init(&mut self, gate: GateId, value: bool) {
-        self.gates[gate.index()].init = value;
-    }
-
     /// Marks a gate as an intentional feedback point (see
     /// [`Gate::is_feedback`]).
     ///
@@ -262,23 +253,6 @@ impl Netlist {
     /// Panics if `gate` is out of range.
     pub fn mark_feedback(&mut self, gate: GateId) {
         self.gates[gate.index()].feedback = true;
-    }
-
-    /// Rewires input pin `pin` of `gate` to `net`, updating sink lists.
-    ///
-    /// Used by the technology mapper when folding gates into LUTs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate`, `pin` or `net` is out of range.
-    pub fn rewire_input(&mut self, gate: GateId, pin: usize, net: NetId) {
-        assert!(net.index() < self.nets.len(), "unknown net {net}");
-        let old = self.gates[gate.index()].inputs[pin];
-        self.nets[old.index()]
-            .sinks
-            .retain(|s| !(s.gate == gate && s.pin == pin));
-        self.gates[gate.index()].inputs[pin] = net;
-        self.nets[net.index()].sinks.push(Sink { gate, pin });
     }
 
     /// Registers a handshake channel annotation.
@@ -465,18 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn rewire_updates_sinks() {
-        let mut nl = Netlist::new("rw");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let (g, _) = nl.add_gate_new(GateKind::Buf, "b0", &[a]);
-        nl.rewire_input(g, 0, b);
-        assert!(nl.net(a).sinks().is_empty());
-        assert_eq!(nl.net(b).sinks().len(), 1);
-        assert_eq!(nl.gate(g).inputs()[0], b);
-    }
-
-    #[test]
     fn feedback_marking() {
         let mut nl = Netlist::new("fb");
         let a = nl.add_input("a");
@@ -490,11 +452,8 @@ mod tests {
 
     #[test]
     fn init_defaults_false_and_settable() {
-        let mut nl = tiny();
-        let g = GateId::new(0);
-        assert!(!nl.gate(g).init());
-        nl.set_init(g, true);
-        assert!(nl.gate(g).init());
+        let nl = tiny();
+        assert!(!nl.gate(GateId::new(0)).init());
     }
 
     #[test]

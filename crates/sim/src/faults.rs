@@ -183,7 +183,8 @@ pub struct FaultResult {
 /// Campaign shape: how many sites per fault class and how to run.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Token-run options for every simulation (budget, gap, queue).
+    /// Token-run options for every simulation (budget, gap, bundling
+    /// setup).
     pub run: TokenRunOptions,
     /// Max stuck-at sites (each yields a stuck-at-0 and a stuck-at-1
     /// fault). Channel nets are enumerated first, then a deterministic

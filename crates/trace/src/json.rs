@@ -448,14 +448,6 @@ impl JsonWriter {
         self.out.push_str(&v.to_string());
     }
 
-    /// Writes a string element on the current array.
-    pub fn item_str(&mut self, v: &str) {
-        self.comma();
-        self.out.push('"');
-        self.out.push_str(&escape(v));
-        self.out.push('"');
-    }
-
     /// Closes the innermost open object/array. The root scope is closed
     /// by [`JsonWriter::finish`], not by `end`.
     pub fn end(&mut self) {
@@ -621,7 +613,7 @@ mod tests {
         w.begin_object("inner");
         w.begin_array("xs");
         w.item_u64(1);
-        w.item_str("two");
+        w.item_u64(2);
         w.end();
         w.field_raw("raw", "[0,null]");
         // finish() closes the still-open inner object.
@@ -635,7 +627,7 @@ mod tests {
         let inner = v.get("inner").unwrap();
         let xs = inner.get("xs").unwrap().as_arr().unwrap();
         assert_eq!(xs.len(), 2);
-        assert_eq!(xs[1].as_str(), Some("two"));
+        assert_eq!(xs[1].as_num(), Some(2.0));
         assert_eq!(
             inner.get("raw").unwrap().as_arr().unwrap()[1],
             JsonValue::Null
