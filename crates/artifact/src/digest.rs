@@ -16,6 +16,8 @@
 //! unchanged, so every pinned digest value survives the move.
 
 use msaf_fabric::bitstream::RouteTree;
+use serde::Serialize;
+use std::io;
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -98,6 +100,32 @@ pub fn digest_trees(trees: &[RouteTree]) -> u64 {
     h.finish()
 }
 
+/// FNV-1a over `value`'s pretty JSON, hashed as
+/// `serde_json::to_writer_pretty` writes it: the digest of
+/// `serde_json::to_string_pretty(value)` without building that string.
+/// The compile server's `bitstream_digest` is this digest of the
+/// bitstream.
+#[must_use]
+pub fn pretty_json_digest<T: Serialize + ?Sized>(value: &T) -> u64 {
+    /// Feeds whatever is written into the hash.
+    struct Hashing(Fnv64);
+
+    impl io::Write for Hashing {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.write(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let mut h = Hashing(Fnv64::new());
+    serde_json::to_writer_pretty(&mut h, value).expect("hashing JSON never fails");
+    h.0.finish()
+}
+
 /// Renders a digest the way every report and golden prints one:
 /// `{:#018x}` (0x + 16 hex digits).
 #[must_use]
@@ -140,6 +168,25 @@ mod tests {
         let manual = fnv1a(format!("{tree:?}{tree:?}").as_bytes());
         assert_eq!(digest_trees(&trees), manual);
         assert_ne!(digest_trees(&trees), digest_trees(&trees[..1]));
+    }
+
+    #[test]
+    fn pretty_json_digest_hashes_the_pretty_text() {
+        let w = RrNodeKind::HWire { x: 1, y: 2, t: 0 };
+        let trees = vec![
+            RouteTree {
+                net: "n\"1".into(),
+                source: w,
+                sinks: vec![w],
+                nodes: vec![w],
+                edges: vec![(w, w)],
+            };
+            500
+        ];
+        let text = serde_json::to_string_pretty(&trees).expect("serializes");
+        assert!(text.len() > 64 * 1024, "spans several writer chunks");
+        assert_eq!(pretty_json_digest(&trees), fnv1a(text.as_bytes()));
+        assert_eq!(pretty_json_digest(&7u8), fnv1a(b"7"));
     }
 
     #[test]

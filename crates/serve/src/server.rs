@@ -3,7 +3,7 @@
 use crate::envelope::{parse_compile, CompileRequest};
 use crate::http::{read_request, write_error, write_response, write_stream_head, Request};
 use crate::sink::NdjsonSink;
-use msaf_artifact::digest::{fnv1a, hex, Fnv64};
+use msaf_artifact::digest::{hex, pretty_json_digest, Fnv64};
 use msaf_artifact::MemStore;
 use msaf_cad::{compile_cached, FlowOptions};
 use msaf_lang::compile_msa;
@@ -272,13 +272,13 @@ fn run_compile(request: &CompileRequest, tracer: Tracer, state: &ServerState) ->
             }
             w.end();
             w.field_bool("all_hits", outcomes.all_hits());
-            // The content digest of the final bitstream JSON — the
-            // "byte-identical across compiles" fact CI pins.
-            let config_json = compiled
-                .config
-                .to_json()
-                .expect("bitstream serialization is infallible");
-            w.field_str("bitstream_digest", &hex(fnv1a(config_json.as_bytes())));
+            // The content digest of the final bitstream's pretty JSON —
+            // the "byte-identical across compiles" fact CI pins — hashed
+            // as it is written, without holding the text.
+            w.field_str(
+                "bitstream_digest",
+                &hex(pretty_json_digest(&compiled.config)),
+            );
             w.field_raw("report", &compiled.report.to_json());
             w.finish()
         }

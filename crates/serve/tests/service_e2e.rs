@@ -1,6 +1,7 @@
 //! End-to-end service tests: a real server on a kernel-assigned
 //! loopback port, real sockets, the real CAD flow.
 
+use msaf_artifact::digest::{fnv1a, hex};
 use msaf_serve::client;
 use msaf_serve::Server;
 use std::net::SocketAddr;
@@ -97,6 +98,17 @@ fn compile_twice_misses_then_hits_with_identical_bitstream() {
         second.bitstream_digest.as_deref(),
         Some(first_digest.as_str())
     );
+    // Both are the digest of the bitstream's pretty JSON text, as the
+    // same design compiled in-process prints it: the server hashes that
+    // text while writing it, cold or warm.
+    let netlist = msaf_lang::compile_msa(SOURCE, msaf_lang::Style::Qdi).expect("elaborates");
+    let opts = msaf_cad::FlowOptions {
+        seed: 1,
+        ..msaf_cad::FlowOptions::default()
+    };
+    let local = msaf_cad::compile(&netlist, &opts).expect("compiles in-process");
+    let text = local.config.to_json().expect("serializes");
+    assert_eq!(first_digest, hex(fnv1a(text.as_bytes())));
     // The report rides the result line either way.
     let report = second.report.expect("report present");
     assert!(report.get("wirelength").and_then(|v| v.as_num()).unwrap() > 0.0);

@@ -3,9 +3,11 @@
 //! the sibling `serde_json` shim.
 //!
 //! The build environment has no registry access, so the real serde cannot
-//! be fetched. Instead of a full `Serializer`/`Deserializer` visitor
-//! architecture, this shim serializes through one concrete self-describing
-//! [`Value`] tree whose JSON mapping mirrors serde's defaults:
+//! be fetched. Instead of serde's format-agnostic visitor architecture,
+//! this shim has one format: derived impls write JSON tokens straight
+//! into a [`Serializer`] and pull them from a [`Deserializer`] over the
+//! input bytes, with no intermediate value tree. The JSON mapping
+//! mirrors serde's defaults:
 //!
 //! * named structs → objects, field order preserved;
 //! * 1-field tuple structs (newtypes) → the inner value;
@@ -14,33 +16,24 @@
 //!   (externally tagged, like stock serde);
 //! * `Option` → `null` / value, tuples and arrays → arrays.
 //!
+//! Reading follows the rules the shim has always applied: unknown keys
+//! are skipped, the first of a repeated key wins, a missing field is an
+//! error even for an `Option`, a tuple ignores extra array elements, an
+//! `[T; N]` checks its length, and a float also reads an integer.
+//!
 //! Swapping the real serde back in later requires no source changes in the
 //! workspace: only the manifests would change.
 
 #![forbid(unsafe_code)]
 
+pub mod de;
+mod ser;
+
+pub use de::Deserializer;
+pub use ser::Serializer;
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Self-describing serialization tree (the shim's entire data model).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null` (only produced by `Option::None`).
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Unsigned integer (covers u8..=u128 and usize).
-    UInt(u128),
-    /// Signed integer (covers i8..=i128 and isize; only negatives land here).
-    Int(i128),
-    /// Floating point.
-    Float(f64),
-    /// String.
-    Str(String),
-    /// Sequence.
-    Array(Vec<Value>),
-    /// Map with preserved key order.
-    Object(Vec<(String, Value)>),
-}
+use de::Number;
 
 /// Deserialization error: a path-less message, like `serde_json::Error`'s
 /// `Display` output.
@@ -52,6 +45,18 @@ impl Error {
     pub fn msg(m: impl Into<String>) -> Self {
         Self(m.into())
     }
+
+    /// A struct field absent from its object.
+    #[must_use]
+    pub fn missing_field(field: &str) -> Self {
+        Self(format!("missing field `{field}`"))
+    }
+
+    /// An enum tag that names no variant of `ty`.
+    #[must_use]
+    pub fn unknown_variant(tag: &str, ty: &str) -> Self {
+        Self(format!("unknown variant `{tag}` of {ty}"))
+    }
 }
 
 impl std::fmt::Display for Error {
@@ -62,89 +67,39 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl Value {
-    /// Object field lookup, erroring like serde's "missing field".
-    pub fn field(&self, name: &str) -> Result<&Value, Error> {
-        match self {
-            Value::Object(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| Error::msg(format!("missing field `{name}`"))),
-            other => Err(Error::msg(format!(
-                "expected object with field `{name}`, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Array element lookup, erroring like serde's "invalid length".
-    pub fn item(&self, index: usize) -> Result<&Value, Error> {
-        match self {
-            Value::Array(items) => items
-                .get(index)
-                .ok_or_else(|| Error::msg(format!("invalid length, no element {index}"))),
-            other => Err(Error::msg(format!("expected array, got {other:?}"))),
-        }
-    }
-}
-
-/// Conversion into the shim's [`Value`] tree (stands in for `serde::Serialize`).
+/// Writing as JSON tokens (stands in for `serde::Serialize`).
 pub trait Serialize {
-    /// Serializes `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Writes `self` into `s`.
+    fn serialize(&self, s: &mut Serializer<'_>);
 }
 
-/// Reconstruction from the shim's [`Value`] tree (stands in for
-/// `serde::Deserialize`).
+/// Reading from JSON tokens (stands in for `serde::Deserialize`).
 pub trait Deserialize: Sized {
-    /// Deserializes from a [`Value`].
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-macro_rules! uint_impl {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u128)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::UInt(u) => <$t>::try_from(*u)
-                        .map_err(|_| Error::msg(concat!("out of range for ", stringify!($t)))),
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error::msg(concat!("out of range for ", stringify!($t)))),
-                    other => Err(Error::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {:?}"),
-                        other
-                    ))),
-                }
-            }
-        }
-    )*};
+    /// Reads one value from `d`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON or a shape mismatch with `Self`.
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error>;
 }
 
 macro_rules! int_impl {
-    ($($t:ty),*) => {$(
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let i = *self as i128;
-                if i < 0 { Value::Int(i) } else { Value::UInt(i as u128) }
+            fn serialize(&self, s: &mut Serializer<'_>) {
+                s.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::UInt(u) => i128::try_from(*u)
-                        .ok()
-                        .and_then(|i| <$t>::try_from(i).ok())
-                        .ok_or_else(|| Error::msg(concat!("out of range for ", stringify!($t)))),
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error::msg(concat!("out of range for ", stringify!($t)))),
-                    other => Err(Error::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {:?}"),
-                        other
+            fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+                let range = || Error::msg(concat!("out of range for ", stringify!($t)));
+                match d.number(stringify!($t))? {
+                    Number::UInt(u) => <$t>::try_from(u).map_err(|_| range()),
+                    Number::Int(i) => <$t>::try_from(i).map_err(|_| range()),
+                    Number::Float(_) => Err(Error::msg(concat!(
+                        "expected ",
+                        stringify!($t),
+                        ", got a float"
                     ))),
                 }
             }
@@ -152,39 +107,35 @@ macro_rules! int_impl {
     )*};
 }
 
-uint_impl!(u8, u16, u32, u64, u128, usize);
-int_impl!(i8, i16, i32, i64, i128, isize);
+int_impl!(u128 as u128: u8, u16, u32, u64, u128, usize);
+int_impl!(i128 as i128: i8, i16, i32, i64, i128, isize);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::msg(format!("expected bool, got {other:?}"))),
-        }
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        d.bool()
     }
 }
 
 macro_rules! float_impl {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(f64::from(*self))
+            fn serialize(&self, s: &mut Serializer<'_>) {
+                s.f64(f64::from(*self));
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::UInt(u) => Ok(*u as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    other => Err(Error::msg(format!("expected number, got {other:?}"))),
-                }
+            fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+                Ok(match d.number("number")? {
+                    Number::Float(f) => f as $t,
+                    Number::UInt(u) => u as $t,
+                    Number::Int(i) => i as $t,
+                })
             }
         }
     )*};
@@ -193,91 +144,113 @@ macro_rules! float_impl {
 float_impl!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::msg(format!("expected string, got {other:?}"))),
-        }
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        d.str().map(std::borrow::Cow::into_owned)
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        (**self).serialize(s);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, s: &mut Serializer<'_>) {
         match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
+            None => s.null(),
+            Some(x) => x.serialize(s),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        if d.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(d).map(Some)
         }
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        s.begin_array();
+        for item in self {
+            s.element();
+            item.serialize(s);
+        }
+        s.end_array();
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::msg(format!("expected array, got {other:?}"))),
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        d.begin_array()?;
+        let mut items = Vec::new();
+        while d.next_element()? {
+            items.push(T::deserialize(d)?);
         }
+        Ok(items)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, s: &mut Serializer<'_>) {
+        self.as_slice().serialize(s);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = Vec::<T>::from_value(v)?;
+    fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let items = Vec::<T>::deserialize(d)?;
         let len = items.len();
         items
             .try_into()
-            .map_err(|_| Error::msg(format!("expected array of length {N}, got {len}")))
+            .map_err(|_| Error(format!("expected array of length {N}, got {len}")))
     }
 }
 
 macro_rules! tuple_impl {
     ($(($($t:ident : $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$i.to_value()),+])
+            fn serialize(&self, s: &mut Serializer<'_>) {
+                s.begin_array();
+                $(
+                    s.element();
+                    self.$i.serialize(s);
+                )+
+                s.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                Ok(($($t::from_value(v.item($i)?)?,)+))
+            fn deserialize(d: &mut Deserializer<'_>) -> Result<Self, Error> {
+                d.begin_array()?;
+                let value = ($({
+                    d.element($i)?;
+                    $t::deserialize(d)?
+                },)+);
+                d.end_array()?;
+                Ok(value)
             }
         }
     )*};
@@ -294,19 +267,25 @@ tuple_impl! {
 mod tests {
     use super::*;
 
+    fn round_trip<T: Serialize + Deserialize>(value: &T) -> T {
+        let mut s = Serializer::new(false);
+        value.serialize(&mut s);
+        let json = s.into_string();
+        let mut d = Deserializer::new(&json);
+        let back = T::deserialize(&mut d).expect("reads back");
+        d.end().expect("nothing trails");
+        back
+    }
+
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-5i32).to_value()).unwrap(), -5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        let v: Option<u8> = None;
-        assert_eq!(Option::<u8>::from_value(&v.to_value()).unwrap(), None);
+        assert_eq!(round_trip(&42u64), 42);
+        assert_eq!(round_trip(&-5i32), -5);
+        assert!(round_trip(&true));
+        assert_eq!(round_trip(&None::<u8>), None);
         let t = (1u8, "x".to_string());
-        assert_eq!(
-            <(u8, String)>::from_value(&t.to_value()).unwrap(),
-            (1u8, "x".to_string())
-        );
+        assert_eq!(round_trip(&t), t);
         let arr = [true, false, true];
-        assert_eq!(<[bool; 3]>::from_value(&arr.to_value()).unwrap(), arr);
+        assert_eq!(round_trip(&arr), arr);
     }
 }

@@ -234,215 +234,190 @@ fn parse_variants(body: TokenStream) -> Vec<Variant> {
 // ---------------------------------------------------------------------------
 // Codegen
 // ---------------------------------------------------------------------------
+//
+// The generated impls name their parameters `__s` / `__d` and bind
+// fields as `__f0, __f1, ...`, so no field name can shadow them.
+
+const OK: &str = "::std::result::Result::Ok";
+const SOME: &str = "::std::option::Option::Some";
+
+/// Statements writing `fields`, each reachable as the reference
+/// expression `value(index, name)`.
+fn write_fields(fields: &Fields, value: impl Fn(usize, &str) -> String) -> String {
+    let write =
+        |i: usize, name: &str| format!("::serde::Serialize::serialize({}, __s);", value(i, name));
+    match fields {
+        Fields::Named(names) => {
+            let items: String = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| format!("__s.key(\"{n}\"); {}", write(i, n)))
+                .collect();
+            format!("__s.begin_object(); {items} __s.end_object();")
+        }
+        Fields::Tuple(1) => write(0, "0"),
+        Fields::Tuple(n) => {
+            let items: String = (0..*n)
+                .map(|i| format!("__s.element(); {}", write(i, &i.to_string())))
+                .collect();
+            format!("__s.begin_array(); {items} __s.end_array();")
+        }
+        Fields::Unit => "__s.null();".to_string(),
+    }
+}
+
+/// The pattern binding a variant's fields to `__f0, __f1, ...`.
+fn bind_fields(path: &str, fields: &Fields) -> String {
+    match fields {
+        Fields::Named(names) => {
+            let binds: Vec<String> = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| format!("{n}: __f{i}"))
+                .collect();
+            format!("{path} {{ {} }}", binds.join(", "))
+        }
+        Fields::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+            format!("{path}({})", binds.join(", "))
+        }
+        Fields::Unit => path.to_string(),
+    }
+}
 
 fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let pairs: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(::std::string::String::from(\"{f}\"), \
-                                 ::serde::Serialize::to_value(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
-                }
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
-                }
-                Fields::Unit => "::serde::Value::Null".to_string(),
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
-        }
+    let body = match item {
+        Item::Struct { fields, .. } => write_fields(fields, |_, name| format!("&self.{name}")),
         Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
+            let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!(
-                            "{name}::{vn} => \
-                             ::serde::Value::Str(::std::string::String::from(\"{vn}\"))"
+                    let pattern = bind_fields(&format!("{name}::{vn}"), &v.fields);
+                    let write = match &v.fields {
+                        Fields::Unit => format!("__s.str(\"{vn}\");"),
+                        fields => format!(
+                            "__s.begin_object(); __s.key(\"{vn}\"); {} __s.end_object();",
+                            write_fields(fields, |i, _| format!("__f{i}"))
                         ),
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vn}(f0) => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from(\"{vn}\"), \
-                             ::serde::Serialize::to_value(f0))])"
-                        ),
-                        Fields::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![(\
-                                 ::std::string::String::from(\"{vn}\"), \
-                                 ::serde::Value::Array(::std::vec![{}]))])",
-                                binds.join(", "),
-                                items.join(", ")
-                            )
-                        }
-                        Fields::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let pairs: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(::std::string::String::from(\"{f}\"), \
-                                         ::serde::Serialize::to_value({f}))"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => \
-                                 ::serde::Value::Object(::std::vec![(\
-                                 ::std::string::String::from(\"{vn}\"), \
-                                 ::serde::Value::Object(::std::vec![{}]))])",
-                                pairs.join(", ")
-                            )
-                        }
-                    }
+                    };
+                    format!("{pattern} => {{ {write} }}\n")
+                })
+                .collect();
+            format!("match self {{ {arms} }}")
+        }
+    };
+    let name = item.name();
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn serialize(&self, __s: &mut ::serde::Serializer<'_>) {{ {body} }}\n\
+         }}"
+    )
+}
+
+/// An expression reading `fields` and building them with `path`, or
+/// returning the error from the enclosing function. A shape with no
+/// field to read accepts any one value.
+fn read_fields(path: &str, fields: &Fields) -> String {
+    let read = "::serde::Deserialize::deserialize(__d)?";
+    match fields {
+        Fields::Unit => format!("{{ __d.skip_value()?; {path} }}"),
+        Fields::Tuple(0) => format!("{{ __d.skip_value()?; {path}() }}"),
+        Fields::Named(names) if names.is_empty() => {
+            format!("{{ __d.skip_value()?; {path} {{}} }}")
+        }
+        Fields::Tuple(1) => format!("{path}({read})"),
+        Fields::Tuple(n) => {
+            let items: Vec<String> = (0..*n)
+                .map(|i| format!("{{ __d.element({i})?; {read} }}"))
+                .collect();
+            format!(
+                "{{ __d.begin_array()?; let __v = {path}({}); __d.end_array()?; __v }}",
+                items.join(", ")
+            )
+        }
+        Fields::Named(names) => {
+            let slots: String = (0..names.len())
+                .map(|i| format!("let mut __f{i} = ::std::option::Option::None;"))
+                .collect();
+            // A repeated key fails its guard and is skipped: the first
+            // occurrence wins.
+            let arms: String = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| format!("\"{n}\" if __f{i}.is_none() => __f{i} = {SOME}({read}),\n"))
+                .collect();
+            let inits: Vec<String> = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| {
+                    format!("{n}: __f{i}.ok_or_else(|| ::serde::Error::missing_field(\"{n}\"))?")
                 })
                 .collect();
             format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{\n\
-                 match self {{ {} }}\n\
+                "{{ {slots} __d.begin_object()?;\n\
+                 while let {SOME}(__key) = __d.next_key()? {{\n\
+                 match &*__key {{ {arms} _ => __d.skip_value()?, }}\n\
                  }}\n\
-                 }}",
-                arms.join(",\n")
+                 {path} {{ {} }} }}",
+                inits.join(", ")
             )
         }
     }
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let inits: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?")
-                        })
-                        .collect();
-                    format!("::std::result::Result::Ok(Self {{ {} }})", inits.join(", "))
-                }
-                Fields::Tuple(1) => {
-                    "::std::result::Result::Ok(Self(::serde::Deserialize::from_value(v)?))"
-                        .to_string()
-                }
-                Fields::Tuple(n) => {
-                    let inits: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(v.item({i})?)?"))
-                        .collect();
-                    format!("::std::result::Result::Ok(Self({}))", inits.join(", "))
-                }
-                Fields::Unit => "::std::result::Result::Ok(Self)".to_string(),
+    let body = match item {
+        Item::Struct { fields, .. } => format!("{OK}({})", read_fields("Self", fields)),
+        Item::Enum { name, variants } => {
+            let unknown = format!(
+                "::std::result::Result::Err(::serde::Error::unknown_variant(__other, \"{name}\"))"
+            );
+            let unit_arms: String = variants
+                .iter()
+                .filter(|v| matches!(v.fields, Fields::Unit))
+                .map(|v| format!("\"{0}\" => {OK}({name}::{0}),\n", v.name))
+                .collect();
+            let data_arms: String = variants
+                .iter()
+                .filter(|v| !matches!(v.fields, Fields::Unit))
+                .map(|v| {
+                    let read = read_fields(&format!("{name}::{}", v.name), &v.fields);
+                    format!("\"{}\" => {read},\n", v.name)
+                })
+                .collect();
+            // Without data variants every tag is unknown; returning early
+            // would leave the closing call unreachable.
+            let data = if data_arms.is_empty() {
+                format!("{{ let __other: &str = &__tag; {unknown} }}")
+            } else {
+                format!(
+                    "{{ let __v = match &*__tag {{ {data_arms} __other => return {unknown}, }};\n\
+                     __d.end_variant(\"{name}\")?;\n\
+                     {OK}(__v) }}"
+                )
             };
             format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
+                "match __d.variant(\"{name}\")? {{\n\
+                 ::serde::de::Variant::Unit(__tag) => match &*__tag {{ {unit_arms} __other => {unknown}, }},\n\
+                 ::serde::de::Variant::Data(__tag) => {data}\n\
                  }}"
             )
         }
-        Item::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.fields, Fields::Unit))
-                .map(|v| {
-                    let vn = &v.name;
-                    format!("\"{vn}\" => ::std::result::Result::Ok({name}::{vn})")
-                })
-                .collect();
-            let data_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => None,
-                        Fields::Tuple(1) => Some(format!(
-                            "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                             ::serde::Deserialize::from_value(inner)?))"
-                        )),
-                        Fields::Tuple(n) => {
-                            let inits: Vec<String> = (0..*n)
-                                .map(|i| {
-                                    format!("::serde::Deserialize::from_value(inner.item({i})?)?")
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}({}))",
-                                inits.join(", ")
-                            ))
-                        }
-                        Fields::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{f}: ::serde::Deserialize::from_value(\
-                                         inner.field(\"{f}\")?)?"
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn} {{ {} }})",
-                                inits.join(", ")
-                            ))
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::Error> {{\n\
-                 match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n\
-                 {unit}\n\
-                 other => ::std::result::Result::Err(::serde::Error::msg(\
-                 ::std::format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                 }},\n\
-                 ::serde::Value::Object(pairs) if pairs.len() == 1 => {{\n\
-                 let (tag, inner) = &pairs[0];\n\
-                 let _ = &inner;\n\
-                 match tag.as_str() {{\n\
-                 {data}\n\
-                 other => ::std::result::Result::Err(::serde::Error::msg(\
-                 ::std::format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                 }}\n\
-                 }},\n\
-                 other => ::std::result::Result::Err(::serde::Error::msg(\
-                 ::std::format!(\"bad enum encoding for {name}: {{other:?}}\"))),\n\
-                 }}\n\
-                 }}\n\
-                 }}",
-                unit = if unit_arms.is_empty() {
-                    String::new()
-                } else {
-                    format!("{},", unit_arms.join(",\n"))
-                },
-                data = if data_arms.is_empty() {
-                    String::new()
-                } else {
-                    format!("{},", data_arms.join(",\n"))
-                },
-            )
+    };
+    let name = item.name();
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize(__d: &mut ::serde::Deserializer<'_>) -> \
+         ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
+         }}"
+    )
+}
+
+impl Item {
+    fn name(&self) -> &str {
+        match self {
+            Item::Struct { name, .. } | Item::Enum { name, .. } => name,
         }
     }
 }

@@ -1,15 +1,17 @@
 //! Cross-crate contract tests for the artifact layer (`msaf-artifact` +
 //! `msaf_cad::checkpoint`): serialize → deserialize → re-digest is the
 //! identity, over both randomized artifact contents and real compiled
-//! workloads. Two goldens ride along: the bitstream artifact digests of
-//! the committed `adder4.msa`, `wide32.msa` and `fir4.msa` examples per
-//! style (the compile server's "byte-identical bitstream" fact), and
-//! the pack artifact digest of every committed example per style.
+//! workloads. Two goldens ride along: the digests of the stored place,
+//! route and bitstream artifacts and of the served pretty bitstream JSON
+//! for the committed `adder4.msa`, `wide32.msa` and `fir4.msa` examples
+//! per style (the compile server's "byte-identical bitstream" fact), and
+//! the pack artifact digest of every committed example per style. A
+//! stored artifact truncated anywhere is a decode error and a miss.
 
-use msaf::artifact::digest::{digest_trees, fnv1a};
+use msaf::artifact::digest::{digest_trees, fnv1a, pretty_json_digest};
 use msaf::artifact::{
-    BitstreamArtifact, PackArtifact, PackedPlbArtifact, PlaceArtifact, RouteArtifact,
-    TimingArtifact,
+    BitstreamArtifact, PackArtifact, PackedPlbArtifact, PlaceArtifact, RouteArtifact, Stage,
+    TimingArtifact, ARTIFACT_FORMAT_VERSION,
 };
 use msaf::cad::checkpoint;
 use msaf::cad::pack::pack;
@@ -155,90 +157,234 @@ proptest! {
     }
 }
 
-/// The pinned bitstream-artifact digests of `examples/msa/adder4.msa`,
-/// one per style (seed 1, default options). These are drift detectors
-/// exactly like the route goldens: an intentional change to mapping,
-/// packing, placement, routing, bitgen, or the artifact JSON format
-/// shows up here and is re-pinned consciously (`ARTIFACT_FORMAT_VERSION`
-/// bumps ride along).
+/// Digests of the bytes one compile stores and serves: the compact
+/// place, route and bitstream artifacts as the store holds them, and
+/// the bitstream's pretty JSON, whose digest the compile server reports
+/// as `bitstream_digest`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pins {
+    place: u64,
+    route: u64,
+    bitstream: u64,
+    pretty: u64,
+}
+
+/// The [`Pins`] of `src` compiled in `style` (seed 1, default options)
+/// through a fresh store.
+fn compile_pins(src: &str, style: Style) -> Pins {
+    let nl = compile_msa(src, style).expect("elaborates");
+    let store = MemStore::new();
+    let (compiled, _) = compile_cached(&nl, &FlowOptions::default(), &store, fnv1a(src.as_bytes()))
+        .expect("flow succeeds");
+    let stored = |stage: Stage| fnv1a(stored_artifact(&store, stage).as_bytes());
+    let pins = Pins {
+        place: stored(Stage::Place),
+        route: stored(Stage::Route),
+        bitstream: stored(Stage::Bitgen),
+        pretty: fnv1a(compiled.config.to_json().expect("serializes").as_bytes()),
+    };
+    // The store holds each artifact's canonical encoding, and the
+    // server's streaming digest hashes the same pretty text.
+    assert_eq!(
+        pins.place,
+        checkpoint::checkpoint_place(&compiled.placement).digest()
+    );
+    assert_eq!(
+        pins.bitstream,
+        checkpoint::checkpoint_bitstream(&compiled.config).digest()
+    );
+    assert_eq!(pins.pretty, pretty_json_digest(&compiled.config));
+    pins
+}
+
+/// The JSON `store` holds for `stage` (it holds one design's entries).
+fn stored_artifact(store: &MemStore, stage: Stage) -> String {
+    let prefix = format!("v{ARTIFACT_FORMAT_VERSION}:{}:", stage.name());
+    let key = store
+        .keys()
+        .into_iter()
+        .find(|k| k.starts_with(&prefix))
+        .expect("stage stored");
+    store.get(&key).expect("entry present")
+}
+
+/// Checks `pins` against `expected`, naming every digest that drifted.
+fn assert_pins(what: &str, pins: Pins, expected: Pins) {
+    assert_eq!(
+        pins, expected,
+        "{what}: stored or served bytes drifted (got {pins:#x?}); re-pin only for an \
+         intentional flow or format change"
+    );
+}
+
+/// The pinned digests of `examples/msa/adder4.msa`, one set per style
+/// (seed 1, default options). These are drift detectors exactly like the
+/// route goldens: an intentional change to mapping, packing, placement,
+/// routing, bitgen, or the JSON the artifacts and the server write shows
+/// up here and is re-pinned consciously (`ARTIFACT_FORMAT_VERSION` bumps
+/// ride along).
 #[test]
 fn adder4_bitstream_digests_are_pinned_per_style() {
-    const PINNED: [(&str, u64); 3] = [
-        ("qdi", 0x4a30_a09c_9c42_ed33),
-        ("wchb", 0x95e7_747b_72b1_8954),
-        ("bundled", 0x53e7_348b_c6f7_5060),
+    const PINNED: [(&str, Pins); 3] = [
+        (
+            "qdi",
+            Pins {
+                place: 0x7960_b3af_382b_484f,
+                route: 0x7a7d_7c06_e541_47d9,
+                bitstream: 0x4a30_a09c_9c42_ed33,
+                pretty: 0x25a5_6427_89eb_f03b,
+            },
+        ),
+        (
+            "wchb",
+            Pins {
+                place: 0x4e03_1f8f_65ad_7a2d,
+                route: 0xe660_484e_f6bd_d55b,
+                bitstream: 0x95e7_747b_72b1_8954,
+                pretty: 0xa704_018a_2b17_81b8,
+            },
+        ),
+        (
+            "bundled",
+            Pins {
+                place: 0x02e0_eb83_b82c_1737,
+                route: 0x8618_6091_6e41_ecf1,
+                bitstream: 0x53e7_348b_c6f7_5060,
+                pretty: 0x3da5_5c08_47da_45fa,
+            },
+        ),
     ];
     for (style_name, expected) in PINNED {
         let style = Style::from_name(style_name).expect("known style");
+        assert_pins(style_name, compile_pins(ADDER4, style), expected);
+        // The uncached flow checkpoints the same bitstream, and a repeat
+        // compile through a store restores the identical bytes.
         let nl = compile_msa(ADDER4, style).expect("adder4 compiles");
         let compiled = compile(&nl, &FlowOptions::default()).expect("flow succeeds");
-        let digest = checkpoint::checkpoint_bitstream(&compiled.config).digest();
         assert_eq!(
-            digest, expected,
-            "{style_name}: bitstream artifact digest drifted (got {digest:#018x}); \
-             re-pin only for an intentional flow or format change"
+            checkpoint::checkpoint_bitstream(&compiled.config).digest(),
+            expected.bitstream
         );
-        // The digest is also what a cached server compile reports: a
-        // repeat compile through a store restores the identical bytes.
         let store = MemStore::new();
         let src_digest = fnv1a(ADDER4.as_bytes());
-        let (first, _) =
-            compile_cached(&nl, &FlowOptions::default(), &store, src_digest).expect("cached flow");
+        compile_cached(&nl, &FlowOptions::default(), &store, src_digest).expect("cached flow");
         let (second, outcomes) = compile_cached(&nl, &FlowOptions::default(), &store, src_digest)
             .expect("cached flow repeat");
         assert!(outcomes.all_hits());
         assert_eq!(
-            checkpoint::checkpoint_bitstream(&first.config).digest(),
-            checkpoint::checkpoint_bitstream(&second.config).digest()
+            checkpoint::checkpoint_bitstream(&second.config).digest(),
+            expected.bitstream
         );
-        assert_eq!(
-            checkpoint::checkpoint_bitstream(&first.config).digest(),
-            digest
-        );
+        assert_eq!(pretty_json_digest(&second.config), expected.pretty);
     }
 }
 
-/// The bitstream artifact digest of `src` compiled in `style` (seed 1,
-/// default options).
-fn bitstream_digest(src: &str, style: Style) -> u64 {
-    let nl = compile_msa(src, style).expect("elaborates");
-    let compiled = compile(&nl, &FlowOptions::default()).expect("flow succeeds");
-    checkpoint::checkpoint_bitstream(&compiled.config).digest()
-}
-
-/// The fabric-scale examples' bitstream digests, per style in
-/// [`Style::ALL`] order (seed 1, default options): the PLB configs bind
-/// produces are pinned here, not only the route statistics.
+/// The fabric-scale examples' digests, per style in [`Style::ALL`] order
+/// (seed 1, default options): the PLB configs bind produces are pinned
+/// here, not only the route statistics.
 #[test]
 fn fabric_scale_bitstream_digests_are_pinned_per_style() {
-    const PINNED: [(&str, &str, [u64; 3]); 2] = [
+    const PINNED: [(&str, &str, [Pins; 3]); 2] = [
         (
             "wide32",
             WIDE32,
             [
-                0x57b1_cfe1_bc22_46f8,
-                0x930d_cd1a_5a1e_87af,
-                0x4913_fd65_c601_e81c,
+                Pins {
+                    place: 0x494a_3834_af48_927c,
+                    route: 0x28b1_0a89_efc5_0a23,
+                    bitstream: 0x57b1_cfe1_bc22_46f8,
+                    pretty: 0xecdb_c6c9_5522_e7ae,
+                },
+                Pins {
+                    place: 0x5eb9_fda1_0e31_ba72,
+                    route: 0x707d_4e66_79b3_282a,
+                    bitstream: 0x930d_cd1a_5a1e_87af,
+                    pretty: 0x9d76_90ff_6227_67fb,
+                },
+                Pins {
+                    place: 0xe39d_263e_5db9_1183,
+                    route: 0x85aa_cb9d_e495_25c0,
+                    bitstream: 0x4913_fd65_c601_e81c,
+                    pretty: 0x9804_e804_251d_bd5c,
+                },
             ],
         ),
         (
             "fir4",
             FIR4,
             [
-                0xa896_babc_adaa_fa87,
-                0xf001_2235_af9c_4888,
-                0xb4b4_ce58_0719_78d2,
+                Pins {
+                    place: 0x77e1_1589_ddc6_fa4e,
+                    route: 0x9b76_aca3_6012_63e7,
+                    bitstream: 0xa896_babc_adaa_fa87,
+                    pretty: 0x725e_3b7b_a17a_02cf,
+                },
+                Pins {
+                    place: 0x9bab_bbd0_8dd8_ad3c,
+                    route: 0x976d_3935_d70b_621f,
+                    bitstream: 0xf001_2235_af9c_4888,
+                    pretty: 0xea0b_9380_04f4_b094,
+                },
+                Pins {
+                    place: 0xd44b_da06_93e8_b14f,
+                    route: 0x54ea_c060_b7a7_570a,
+                    bitstream: 0xb4b4_ce58_0719_78d2,
+                    pretty: 0x7b48_eb19_5e61_332a,
+                },
             ],
         ),
     ];
-    for (name, src, digests) in PINNED {
-        for (style, expected) in Style::ALL.into_iter().zip(digests) {
-            let digest = bitstream_digest(src, style);
-            assert_eq!(
-                digest, expected,
-                "{name} {style}: bitstream artifact digest drifted (got {digest:#018x})"
+    for (name, src, pins) in PINNED {
+        for (style, expected) in Style::ALL.into_iter().zip(pins) {
+            assert_pins(
+                &format!("{name} {style}"),
+                compile_pins(src, style),
+                expected,
             );
         }
+    }
+}
+
+/// A stored artifact cut short at any byte decodes to an error, never
+/// to a panic or a wrong value, and the flow treats the entry as a
+/// miss: it recomputes the stage and stores the same bytes again.
+#[test]
+fn truncated_artifacts_decode_to_errors_and_miss() {
+    let src = "pipeline cut { input a[2]; output y[1]; stage s { y = parity(a); } }";
+    let nl = compile_msa(src, Style::Qdi).expect("elaborates");
+    let opts = FlowOptions::default();
+    let store = MemStore::new();
+    let (cold, _) = compile_cached(&nl, &opts, &store, 1).expect("cold flow");
+    for stage in Stage::ALL {
+        let json = stored_artifact(&store, stage);
+        assert!(json.is_ascii(), "every prefix is a valid &str");
+        let decodes = |text: &str| match stage {
+            Stage::Pack => PackArtifact::from_json(text).is_ok(),
+            Stage::Place => PlaceArtifact::from_json(text).is_ok(),
+            Stage::Route => RouteArtifact::from_json(text).is_ok(),
+            Stage::Bitgen => BitstreamArtifact::from_json(text).is_ok(),
+        };
+        assert!(decodes(&json));
+        for end in 0..json.len() {
+            assert!(!decodes(&json[..end]), "{stage:?} decoded from {end} bytes");
+        }
+
+        let key = store
+            .keys()
+            .into_iter()
+            .find(|k| k.contains(&format!(":{}:", stage.name())))
+            .expect("stage stored");
+        store.put(&key, json[..json.len() / 2].to_string());
+        let (again, outcomes) = compile_cached(&nl, &opts, &store, 1).expect("flow recovers");
+        for (name, outcome) in outcomes.stages() {
+            let expected = if name == stage.name() { "miss" } else { "hit" };
+            assert_eq!(outcome.name(), expected, "{name} after cutting {stage:?}");
+        }
+        assert_eq!(store.get(&key).as_deref(), Some(json.as_str()));
+        assert_eq!(
+            pretty_json_digest(&again.config),
+            pretty_json_digest(&cold.config)
+        );
     }
 }
 
