@@ -358,8 +358,8 @@ fn cad_workload(
 fn place_workload(w: &msaf_bench::workloads::CadWorkload, timed: bool) -> PlaceRow {
     let inc_opts = PlaceOptions::seeded(w.seed);
     let full_opts = PlaceOptions {
-        seed: w.seed,
         cost_mode: CostMode::FullRecompute,
+        ..PlaceOptions::seeded(w.seed)
     };
     let pl = place_with(&w.mapped, &w.packed, &w.arch, &inc_opts).expect("places");
     let (best, best_full) = if timed {

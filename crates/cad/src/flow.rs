@@ -3,7 +3,7 @@
 use crate::bitgen::{assemble, bind, Binding, BitgenError};
 use crate::checkpoint;
 use crate::pack::{pack, PackError, PackedDesign};
-use crate::place::{place_traced, PlaceError, PlaceOptions, Placement};
+use crate::place::{place_with, PlaceError, PlaceOptions, Placement};
 use crate::report::FlowReport;
 use crate::route::{
     route_traced, RouteError, RouteOptions, RoutingResult, HIST_FAC, PRES_FAC_MULT,
@@ -380,14 +380,11 @@ fn compile_inner(
         },
         |art: PlaceArtifact| Ok(checkpoint::restore_place(&art)),
         || {
-            place_traced(
-                &mapped,
-                &packed,
-                &arch,
-                &PlaceOptions::seeded(opts.seed),
-                tracer,
-            )
-            .map_err(FlowError::Place)
+            let place_opts = PlaceOptions {
+                tracer: tracer.clone(),
+                ..PlaceOptions::seeded(opts.seed)
+            };
+            place_with(&mapped, &packed, &arch, &place_opts).map_err(FlowError::Place)
         },
         checkpoint::checkpoint_place,
     )?;

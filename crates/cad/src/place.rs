@@ -76,21 +76,29 @@ pub enum CostMode {
 }
 
 /// Tuning knobs for [`place_with`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PlaceOptions {
     /// Annealing seed (same seed ⇒ same placement, in either cost mode).
     pub seed: u64,
     /// Delta evaluation strategy.
     pub cost_mode: CostMode,
+    /// Flight recorder: one `place.temperature` event per annealing
+    /// temperature step (temperature, acceptance rate, cost, range
+    /// limit — i.e. progress every `moves_per_t` moves) and a running
+    /// `place.cost` counter. No-op by default. Tracing observes only:
+    /// the move sequence, acceptances and final placement are
+    /// byte-identical with any sink or none (the RNG stream and cost
+    /// arithmetic never see the tracer).
+    pub tracer: Tracer,
 }
 
 impl PlaceOptions {
-    /// Incremental-mode options with the given seed.
+    /// Untraced incremental-mode options with the given seed.
     #[must_use]
     pub fn seeded(seed: u64) -> Self {
         Self {
             seed,
-            cost_mode: CostMode::Incremental,
+            ..Self::default()
         }
     }
 }
@@ -462,27 +470,6 @@ pub fn place_with(
     arch: &ArchSpec,
     opts: &PlaceOptions,
 ) -> Result<Placement, PlaceError> {
-    place_traced(design, packed, arch, opts, &Tracer::default())
-}
-
-/// [`place_with`] plus a [`Tracer`] that receives one
-/// `place.temperature` event per annealing temperature step
-/// (temperature, acceptance rate, cost, range limit — i.e. progress
-/// every `moves_per_t` moves) and a running `place.cost` counter.
-/// Tracing observes only: the move sequence, acceptances and final
-/// placement are byte-identical with any sink or none (the RNG stream
-/// and cost arithmetic never see the tracer).
-///
-/// # Errors
-///
-/// See [`PlaceError`].
-pub fn place_traced(
-    design: &MappedDesign,
-    packed: &PackedDesign,
-    arch: &ArchSpec,
-    opts: &PlaceOptions,
-    tracer: &Tracer,
-) -> Result<Placement, PlaceError> {
     let capacity = arch.plb_count();
     let n = packed.plb_count();
     if n > capacity {
@@ -574,7 +561,7 @@ pub fn place_traced(
             // Annealing progress, once per temperature step (i.e. every
             // `moves_per_t` moves): enough to plot the cooling curve
             // without per-move overhead.
-            tracer.event("place.temperature", || {
+            opts.tracer.event("place.temperature", || {
                 vec![
                     ("temp", temp.into()),
                     ("acceptance", rate.into()),
@@ -584,7 +571,7 @@ pub fn place_traced(
                 ]
             });
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            tracer.counter("place.cost", cost.max(0.0) as u64);
+            opts.tracer.counter("place.cost", cost.max(0.0) as u64);
             rlim = (rlim * (0.56 + rate)).clamp(1.0, max_dim);
             temp *= 0.8;
         }
@@ -698,8 +685,8 @@ mod tests {
                 &packed,
                 &arch,
                 &PlaceOptions {
-                    seed,
                     cost_mode: CostMode::FullRecompute,
+                    ..PlaceOptions::seeded(seed)
                 },
             )
             .unwrap();
@@ -725,7 +712,7 @@ mod tests {
                 &mapped,
                 &packed,
                 &arch,
-                &PlaceOptions { seed, cost_mode: CostMode::FullRecompute },
+                &PlaceOptions { cost_mode: CostMode::FullRecompute, ..PlaceOptions::seeded(seed) },
             )
             .unwrap();
             prop_assert_eq!(&inc.plb_pos, &full.plb_pos);

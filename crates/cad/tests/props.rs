@@ -10,8 +10,19 @@
 use msaf_cad::flow::{compile, FlowOptions};
 use msaf_fabric::extract::extract_netlist;
 use msaf_netlist::{GateKind, NetId, Netlist};
-use msaf_sim::settle::{settle, SettleState};
+use msaf_sim::{FixedDelay, Simulator};
 use proptest::prelude::*;
+
+/// A fresh simulator over `netlist` (every net low at power-up), settled
+/// with `inputs` driven.
+fn settle<'a>(netlist: &'a Netlist, inputs: &[(NetId, bool)]) -> Simulator<'a> {
+    let mut sim = Simulator::new(netlist, &FixedDelay::new(1));
+    for &(pi, value) in inputs {
+        sim.set_input(pi, value, 0);
+    }
+    sim.settle(100_000).expect("combinational logic settles");
+    sim
+}
 
 /// Builds a random combinational netlist from generator choices.
 fn random_comb(n_inputs: usize, picks: &[(u8, u16, u16)]) -> Netlist {
@@ -85,10 +96,8 @@ proptest! {
                 })
                 .collect();
 
-            let mut s1 = SettleState::reset(&nl);
-            let v1 = settle(&nl, &src_assign, &mut s1).expect("source settles");
-            let mut s2 = SettleState::reset(fab);
-            let v2 = settle(fab, &fab_assign, &mut s2).expect("fabric settles");
+            let src = settle(&nl, &src_assign);
+            let fabric = settle(fab, &fab_assign);
 
             for &po in nl.outputs() {
                 let signal = compiled.mapped.signal_of_net(po);
@@ -99,8 +108,8 @@ proptest! {
                     .expect("PO bound to a pad");
                 let fab_net = extracted.pad_nets[&pad.pad];
                 prop_assert_eq!(
-                    v1[po.index()],
-                    v2[fab_net.index()],
+                    src.value(po),
+                    fabric.value(fab_net),
                     "vector {:#b}, output '{}' diverged",
                     vector,
                     nl.net(po).name()

@@ -29,8 +29,7 @@ use msaf_cad::route::RouteOptions;
 use msaf_cad::verify::verify_tokens;
 use msaf_lang::Style;
 use msaf_sim::{
-    default_stimulus, run_campaign_traced, token_run_traced, CampaignOptions, PerKindDelay,
-    TokenRunOptions,
+    default_stimulus, run_campaign, token_run, CampaignOptions, PerKindDelay, TokenRunOptions,
 };
 use msaf_trace::Tracer;
 use std::collections::BTreeMap;
@@ -222,12 +221,13 @@ fn main() -> ExitCode {
         }
 
         if !args.tokens.is_empty() {
-            let report = match token_run_traced(
+            let report = match token_run(
                 &nl,
                 &PerKindDelay::new(),
                 &args.tokens,
-                &TokenRunOptions::default(),
-                &tracer,
+                &TokenRunOptions {
+                    tracer: tracer.clone(),
+                },
             ) {
                 Ok(r) => r,
                 Err(e) => {
@@ -271,17 +271,19 @@ fn main() -> ExitCode {
                 args.tokens.clone()
             };
             let opts = CampaignOptions {
+                run: TokenRunOptions {
+                    tracer: tracer.clone(),
+                },
                 threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
                 ..CampaignOptions::default()
             };
-            let report =
-                match run_campaign_traced(&nl, &PerKindDelay::new(), &stimulus, &opts, &tracer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("error: fault campaign failed for style {style}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let report = match run_campaign(&nl, &PerKindDelay::new(), &stimulus, &opts) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: fault campaign failed for style {style}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             println!("  fault campaign ({style}):");
             for line in report.render_table().lines() {
                 println!("    {line}");

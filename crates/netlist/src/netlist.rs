@@ -56,7 +56,6 @@ pub struct Gate {
     kind: GateKind,
     inputs: Vec<NetId>,
     output: NetId,
-    init: bool,
     feedback: bool,
 }
 
@@ -83,13 +82,6 @@ impl Gate {
     #[must_use]
     pub fn output(&self) -> NetId {
         self.output
-    }
-
-    /// Initial output value at reset (asynchronous circuits conventionally
-    /// reset to the all-neutral state, so this defaults to `false`).
-    #[must_use]
-    pub fn init(&self) -> bool {
-        self.init
     }
 
     /// True when the gate was explicitly marked as an intentional feedback
@@ -221,7 +213,6 @@ impl Netlist {
             kind,
             inputs: inputs.to_vec(),
             output,
-            init: false,
             feedback: false,
         });
         id
@@ -448,12 +439,6 @@ mod tests {
         nl.mark_feedback(g);
         assert!(nl.gate(g).breaks_cycles());
         assert!(!nl.gate(g).kind().is_state_holding());
-    }
-
-    #[test]
-    fn init_defaults_false_and_settable() {
-        let nl = tiny();
-        assert!(!nl.gate(GateId::new(0)).init());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! looped LUTs). Levelisation therefore cuts every edge that *leaves* a
 //! cycle-breaking gate (see [`crate::Gate::breaks_cycles`]) and then runs
 //! Kahn's algorithm over the remaining combinational edges. The result is
-//! used by the timing analyser and by the two-valued settle-evaluator.
+//! used by [`Netlist::validate`](crate::Netlist::validate), which reports
+//! any gates left on a cycle as an unbroken combinational loop, and by
+//! [`NetlistStats`](crate::NetlistStats) for the combinational depth.
 
 use crate::ids::GateId;
 use crate::netlist::Netlist;

@@ -23,6 +23,13 @@ use msaf_netlist::{Channel, ChannelDir, Encoding, NetId, Netlist};
 use msaf_trace::Tracer;
 use std::collections::{BTreeMap, VecDeque};
 
+/// Environment response delay between observation and action.
+const GAP: u64 = 2;
+/// Extra data→req margin applied by bundled producers.
+const BUNDLING_SETUP: u64 = 0;
+/// Committed-event budget of one run.
+const MAX_EVENTS: u64 = 2_000_000;
+
 /// One transferred token: its payload and the time its handshake completed
 /// (sample time for consumers, acknowledge time for producers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,14 +65,6 @@ pub enum ProtocolViolation {
         channel: String,
         /// Digit index within the channel.
         digit: usize,
-        /// When it was observed.
-        time: SimTime,
-    },
-    /// Data rails moved while the codeword was supposed to be stable
-    /// (between completion detection and return-to-zero).
-    UnstableData {
-        /// Channel name.
-        channel: String,
         /// When it was observed.
         time: SimTime,
     },
@@ -196,7 +195,6 @@ pub struct DiProducer {
     watched: [NetId; 1],
     tokens: VecDeque<u64>,
     state: ProducerState,
-    gap: u64,
     completed: TokenStream,
 }
 
@@ -207,7 +205,7 @@ impl DiProducer {
     ///
     /// Panics if `ch` is not a delay-insensitive input channel.
     #[must_use]
-    pub fn new(ch: &Channel, tokens: Vec<u64>, gap: u64) -> Self {
+    pub fn new(ch: &Channel, tokens: Vec<u64>) -> Self {
         assert_eq!(ch.dir(), ChannelDir::Input, "producer needs input channel");
         let (groups, radix) = di_groups(ch);
         Self {
@@ -218,7 +216,6 @@ impl DiProducer {
             watched: [ch.ack()],
             tokens: tokens.into(),
             state: ProducerState::SendNext,
-            gap: gap.max(1),
             completed: TokenStream::default(),
         }
     }
@@ -229,7 +226,7 @@ impl DiProducer {
             let digit = rest % self.radix;
             rest /= self.radix;
             for (v, &rail) in group.iter().enumerate() {
-                actions.set(rail, v as u64 == digit, self.gap);
+                actions.set(rail, v as u64 == digit, GAP);
             }
         }
     }
@@ -262,7 +259,7 @@ impl Agent for DiProducer {
                 if sim.value(self.ack) {
                     for group in &self.groups {
                         for &rail in group {
-                            actions.set(rail, false, self.gap);
+                            actions.set(rail, false, GAP);
                         }
                     }
                     self.state = ProducerState::WaitAckLow;
@@ -330,7 +327,6 @@ pub struct DiConsumer {
     ack: NetId,
     watched: Vec<NetId>,
     state: ConsumerState,
-    gap: u64,
     stream: TokenStream,
     violations: Vec<ProtocolViolation>,
 }
@@ -342,7 +338,7 @@ impl DiConsumer {
     ///
     /// Panics if `ch` is not a delay-insensitive output channel.
     #[must_use]
-    pub fn new(ch: &Channel, gap: u64) -> Self {
+    pub fn new(ch: &Channel) -> Self {
         assert_eq!(
             ch.dir(),
             ChannelDir::Output,
@@ -357,7 +353,6 @@ impl DiConsumer {
             ack: ch.ack(),
             watched,
             state: ConsumerState::WaitValid,
-            gap: gap.max(1),
             stream: TokenStream::default(),
             violations: Vec::new(),
         }
@@ -415,13 +410,13 @@ impl Agent for DiConsumer {
                         value,
                         time: sim.now(),
                     });
-                    actions.set(self.ack, true, self.gap);
+                    actions.set(self.ack, true, GAP);
                     self.state = ConsumerState::WaitNeutral;
                 }
             }
             ConsumerState::WaitNeutral => {
                 if self.all_neutral(sim) {
-                    actions.set(self.ack, false, self.gap);
+                    actions.set(self.ack, false, GAP);
                     self.state = ConsumerState::WaitValid;
                 }
             }
@@ -473,9 +468,10 @@ impl Agent for DiConsumer {
 // Bundled-data (micropipeline) agents
 // ---------------------------------------------------------------------------
 
-/// 4-phase producer for a bundled-data input channel: drives data, then
-/// raises `req` after `setup` extra units (the environment-side bundling
-/// margin), completing the return-to-zero phase on `ack`.
+/// 4-phase producer for a bundled-data input channel: drives data and
+/// raises `req` `BUNDLING_SETUP` units later (the environment-side
+/// bundling margin: zero, so the circuit's matched delay alone must cover
+/// bundling), completing the return-to-zero phase on `ack`.
 #[derive(Debug)]
 pub struct BundledProducer {
     name: String,
@@ -485,8 +481,6 @@ pub struct BundledProducer {
     watched: [NetId; 2],
     tokens: VecDeque<u64>,
     state: ProducerState,
-    gap: u64,
-    setup: u64,
     completed: TokenStream,
 }
 
@@ -497,7 +491,7 @@ impl BundledProducer {
     ///
     /// Panics if `ch` is not a bundled-data input channel.
     #[must_use]
-    pub fn new(ch: &Channel, tokens: Vec<u64>, gap: u64, setup: u64) -> Self {
+    pub fn new(ch: &Channel, tokens: Vec<u64>) -> Self {
         assert_eq!(ch.dir(), ChannelDir::Input, "producer needs input channel");
         assert!(
             matches!(ch.encoding(), Encoding::Bundled { .. }),
@@ -512,8 +506,6 @@ impl BundledProducer {
             watched: [ch.ack(), req],
             tokens: tokens.into(),
             state: ProducerState::SendNext,
-            gap: gap.max(1),
-            setup,
             completed: TokenStream::default(),
         }
     }
@@ -532,9 +524,9 @@ impl Agent for BundledProducer {
                 if !sim.value(self.ack) {
                     if let Some(tok) = self.tokens.pop_front() {
                         for (bit, &net) in self.data.iter().enumerate() {
-                            actions.set(net, (tok >> bit) & 1 == 1, self.gap);
+                            actions.set(net, (tok >> bit) & 1 == 1, GAP);
                         }
-                        actions.set(self.req, true, self.gap + self.setup);
+                        actions.set(self.req, true, GAP + BUNDLING_SETUP);
                         self.completed.tokens.push(Token {
                             value: tok,
                             time: sim.now(),
@@ -547,7 +539,7 @@ impl Agent for BundledProducer {
             }
             ProducerState::WaitAckHigh => {
                 if sim.value(self.ack) {
-                    actions.set(self.req, false, self.gap);
+                    actions.set(self.req, false, GAP);
                     self.state = ProducerState::WaitAckLow;
                 }
             }
@@ -605,7 +597,6 @@ pub struct BundledConsumer {
     ack: NetId,
     watched: [NetId; 1],
     state: ConsumerState,
-    gap: u64,
     stream: TokenStream,
 }
 
@@ -616,7 +607,7 @@ impl BundledConsumer {
     ///
     /// Panics if `ch` is not a bundled-data output channel.
     #[must_use]
-    pub fn new(ch: &Channel, gap: u64) -> Self {
+    pub fn new(ch: &Channel) -> Self {
         assert_eq!(
             ch.dir(),
             ChannelDir::Output,
@@ -634,7 +625,6 @@ impl BundledConsumer {
             ack: ch.ack(),
             watched: [req],
             state: ConsumerState::WaitValid,
-            gap: gap.max(1),
             stream: TokenStream::default(),
         }
     }
@@ -655,13 +645,13 @@ impl Agent for BundledConsumer {
                         value,
                         time: sim.now(),
                     });
-                    actions.set(self.ack, true, self.gap);
+                    actions.set(self.ack, true, GAP);
                     self.state = ConsumerState::WaitNeutral;
                 }
             }
             ConsumerState::WaitNeutral => {
                 if !sim.value(self.req) {
-                    actions.set(self.ack, false, self.gap);
+                    actions.set(self.ack, false, GAP);
                     self.state = ConsumerState::WaitValid;
                 }
             }
@@ -703,24 +693,15 @@ impl Agent for BundledConsumer {
 // ---------------------------------------------------------------------------
 
 /// Options for [`token_run`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Default)]
 pub struct TokenRunOptions {
-    /// Environment response delay between observation and action.
-    pub gap: u64,
-    /// Extra data→req margin applied by bundled producers.
-    pub bundling_setup: u64,
-    /// Total committed-event budget.
-    pub max_events: u64,
-}
-
-impl Default for TokenRunOptions {
-    fn default() -> Self {
-        Self {
-            gap: 2,
-            bundling_setup: 0,
-            max_events: 2_000_000,
-        }
-    }
+    /// Flight recorder for the run: a `sim.run` span, the engine's
+    /// progress counters (events, queue depth, glitches) on a fixed
+    /// timestep cadence, and a final `sim.summary` event with the effort
+    /// totals and per-wheel-level queue high-water marks. No-op by
+    /// default. Token results are byte-identical with any sink or none:
+    /// tracing observes the schedule, it never perturbs it.
+    pub tracer: Tracer,
 }
 
 /// Errors from [`token_run`].
@@ -821,6 +802,7 @@ pub struct TokenRunReport {
 /// Runs a complete token-level experiment: builds a producer for every
 /// input channel (fed from `inputs`) and a consumer for every output
 /// channel, simulates to quiescence, and returns the observed streams.
+/// The run is recorded on [`TokenRunOptions::tracer`].
 ///
 /// # Errors
 ///
@@ -834,36 +816,16 @@ pub fn token_run(
     inputs: &BTreeMap<String, Vec<u64>>,
     opts: &TokenRunOptions,
 ) -> Result<TokenRunReport, TokenRunError> {
-    token_run_traced(netlist, model, inputs, opts, &Tracer::default())
-}
-
-/// [`token_run`] plus a [`Tracer`]: the run is wrapped in a `sim.run`
-/// span, the engine emits its progress counters (events, queue depth,
-/// glitches) on a fixed timestep cadence, and a final `sim.summary`
-/// event carries the effort totals including per-wheel-level queue
-/// high-water marks. Token results are byte-identical with any sink or
-/// none — tracing observes the schedule, it never perturbs it.
-///
-/// # Errors
-///
-/// See [`token_run`].
-pub fn token_run_traced(
-    netlist: &Netlist,
-    model: &dyn DelayModel,
-    inputs: &BTreeMap<String, Vec<u64>>,
-    opts: &TokenRunOptions,
-    tracer: &Tracer,
-) -> Result<TokenRunReport, TokenRunError> {
-    let mut agents = build_agents(netlist, inputs, opts)?;
-    let run_span = tracer.span_args("sim.run", || {
+    let mut agents = build_agents(netlist, inputs)?;
+    let run_span = opts.tracer.span_args("sim.run", || {
         vec![
             ("design", netlist.name().to_string().into()),
             ("agents", agents.len().into()),
         ]
     });
     let mut sim = Simulator::new(netlist, model);
-    sim.set_tracer(tracer.clone());
-    let driven = drive_agents(&mut sim, &mut agents, opts.max_events);
+    sim.set_tracer(opts.tracer.clone());
+    let driven = drive_agents(&mut sim, &mut agents);
     sim.trace_summary();
     drop(run_span);
     driven?;
@@ -883,7 +845,6 @@ pub fn token_run_traced(
 pub fn build_agents(
     netlist: &Netlist,
     inputs: &BTreeMap<String, Vec<u64>>,
-    opts: &TokenRunOptions,
 ) -> Result<Vec<Box<dyn Agent>>, TokenRunError> {
     let mut agents: Vec<Box<dyn Agent>> = Vec::new();
     let mut seen = Vec::new();
@@ -896,20 +857,15 @@ pub fn build_agents(
                     .clone();
                 seen.push(ch.name().to_string());
                 match ch.encoding() {
-                    Encoding::Bundled { .. } => agents.push(Box::new(BundledProducer::new(
-                        ch,
-                        toks,
-                        opts.gap,
-                        opts.bundling_setup,
-                    ))),
-                    _ => agents.push(Box::new(DiProducer::new(ch, toks, opts.gap))),
+                    Encoding::Bundled { .. } => {
+                        agents.push(Box::new(BundledProducer::new(ch, toks)));
+                    }
+                    _ => agents.push(Box::new(DiProducer::new(ch, toks))),
                 }
             }
             ChannelDir::Output => match ch.encoding() {
-                Encoding::Bundled { .. } => {
-                    agents.push(Box::new(BundledConsumer::new(ch, opts.gap)));
-                }
-                _ => agents.push(Box::new(DiConsumer::new(ch, opts.gap))),
+                Encoding::Bundled { .. } => agents.push(Box::new(BundledConsumer::new(ch))),
+                _ => agents.push(Box::new(DiConsumer::new(ch))),
             },
         }
     }
@@ -948,15 +904,15 @@ pub(crate) fn collect_report(sim: &Simulator<'_>, agents: &[Box<dyn Agent>]) -> 
 ///
 /// # Errors
 ///
-/// Propagates simulator failures and reports deadlocks (quiescence while a
-/// producer still holds tokens).
+/// Propagates simulator failures (more than `MAX_EVENTS` committed
+/// events) and reports deadlocks (quiescence while a producer still holds
+/// tokens).
 pub fn drive_agents(
     sim: &mut Simulator<'_>,
     agents: &mut [Box<dyn Agent>],
-    max_events: u64,
 ) -> Result<(), TokenRunError> {
     // Let the circuit power up before the environment engages.
-    if let Err(error) = sim.settle(max_events) {
+    if let Err(error) = sim.settle(MAX_EVENTS) {
         let stalls = collect_stalls(sim, agents);
         return Err(TokenRunError::Sim { error, stalls });
     }
@@ -1016,10 +972,10 @@ pub fn drive_agents(
                 sim.set_input(net, value, delay);
             }
         }
-        if sim.events_processed() > max_events {
+        if sim.events_processed() > MAX_EVENTS {
             return Err(TokenRunError::Sim {
                 error: SimError::EventLimit {
-                    limit: max_events,
+                    limit: MAX_EVENTS,
                     at: sim.now(),
                 },
                 stalls: collect_stalls(sim, agents),

@@ -159,19 +159,18 @@ pub struct Simulator<'a> {
 
 impl<'a> Simulator<'a> {
     /// Builds a simulator over `netlist` with per-gate delays drawn from
-    /// `model`, resets every net to its reset value (primary inputs low,
-    /// gate outputs at [`msaf_netlist::Gate::init`]) and marks all gates
-    /// for initial evaluation — call [`Simulator::settle`] (or any run
-    /// method) to let the circuit power up.
+    /// `model`, starts every net low (primary inputs and gate outputs
+    /// alike: asynchronous circuits reset to the all-neutral state) and
+    /// marks all gates for initial evaluation — call
+    /// [`Simulator::settle`] (or any run method) to let the circuit power
+    /// up.
     #[must_use]
     pub fn new(netlist: &'a Netlist, model: &dyn DelayModel) -> Self {
         let n_nets = netlist.nets().len();
         let n_gates = netlist.gates().len();
-        let mut values = vec![false; n_nets];
         let mut delays = vec![1u64; n_gates];
         let mut is_transport = vec![false; n_gates];
         for (gid, gate) in netlist.iter_gates() {
-            values[gate.output().index()] = gate.init();
             delays[gid.index()] = match gate.kind() {
                 // Transport elements own their delay.
                 GateKind::Delay(amount) => {
@@ -203,7 +202,7 @@ impl<'a> Simulator<'a> {
             outputs,
             in_offsets,
             in_nets,
-            values,
+            values: vec![false; n_nets],
             delays,
             pending: vec![None; n_gates],
             queue: Box::new(Wheel::new()),

@@ -38,7 +38,6 @@ use crate::agents::{
 use crate::delay::DelayModel;
 use crate::engine::{SimTime, Simulator};
 use msaf_netlist::{ChannelDir, Encoding, GateId, GateKind, NetId, Netlist};
-use msaf_trace::Tracer;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -183,8 +182,9 @@ pub struct FaultResult {
 /// Campaign shape: how many sites per fault class and how to run.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Token-run options for every simulation (budget, gap, bundling
-    /// setup).
+    /// Token-run options. Only the tracer is read: it records the
+    /// campaign (see [`run_campaign`]), while every simulation in it runs
+    /// untraced.
     pub run: TokenRunOptions,
     /// Max stuck-at sites (each yields a stuck-at-0 and a stuck-at-1
     /// fault). Channel nets are enumerated first, then a deterministic
@@ -482,10 +482,9 @@ pub fn token_run_faulted(
     netlist: &Netlist,
     model: &dyn DelayModel,
     inputs: &BTreeMap<String, Vec<u64>>,
-    opts: &TokenRunOptions,
     fault: &Fault,
 ) -> Result<TokenRunReport, TokenRunError> {
-    let mut agents = build_agents(netlist, inputs, opts)?;
+    let mut agents = build_agents(netlist, inputs)?;
     let slowed;
     let model: &dyn DelayModel = match *fault {
         Fault::DelayMult { gate, mult } => {
@@ -504,7 +503,7 @@ pub fn token_run_faulted(
         Fault::Seu { net, at } => sim.schedule_flip(net, at),
         Fault::DelayMult { .. } => {}
     }
-    drive_agents(&mut sim, &mut agents, opts.max_events)?;
+    drive_agents(&mut sim, &mut agents)?;
     Ok(collect_report(&sim, &agents))
 }
 
@@ -542,7 +541,14 @@ fn classify(
     }
 }
 
-/// Runs a full fault campaign. See [`run_campaign_traced`].
+/// Runs a full fault campaign: one clean reference run, then one run per
+/// enumerated fault, each classified against the reference.
+///
+/// `opts.run.tracer` receives one `fault.injected` / `fault.outcome`
+/// event pair per fault, in enumeration order (the coordinator emits
+/// after all workers join, so traces are identical at any thread count),
+/// inside a `faults.campaign` span. The simulations themselves, the
+/// reference included, run untraced.
 ///
 /// # Errors
 ///
@@ -555,25 +561,8 @@ pub fn run_campaign(
     inputs: &BTreeMap<String, Vec<u64>>,
     opts: &CampaignOptions,
 ) -> Result<FaultReport, TokenRunError> {
-    run_campaign_traced(netlist, model, inputs, opts, &Tracer::default())
-}
-
-/// [`run_campaign`] plus a [`Tracer`]: emits one `fault.injected` /
-/// `fault.outcome` event pair per fault, in enumeration order (the
-/// coordinator emits after all workers join, so traces are identical at
-/// any thread count), inside a `faults.campaign` span.
-///
-/// # Errors
-///
-/// See [`run_campaign`].
-pub fn run_campaign_traced(
-    netlist: &Netlist,
-    model: &(dyn DelayModel + Sync),
-    inputs: &BTreeMap<String, Vec<u64>>,
-    opts: &CampaignOptions,
-    tracer: &Tracer,
-) -> Result<FaultReport, TokenRunError> {
-    let reference = token_run(netlist, model, inputs, &opts.run)?;
+    let tracer = &opts.run.tracer;
+    let reference = token_run(netlist, model, inputs, &TokenRunOptions::default())?;
     let faults = enumerate_faults(netlist, opts, reference.end_time);
     let span = tracer.span_args("faults.campaign", || {
         vec![
@@ -599,7 +588,7 @@ pub fn run_campaign_traced(
             let Some(fault) = faults.get(i) else {
                 break;
             };
-            let run = token_run_faulted(netlist, model, inputs, &opts.run, fault);
+            let run = token_run_faulted(netlist, model, inputs, fault);
             local.push((i, classify(run, &reference)));
         }
         local
@@ -655,6 +644,7 @@ mod tests {
     use super::*;
     use crate::delay::FixedDelay;
     use msaf_netlist::{Channel, ChannelDir, Encoding, Protocol};
+    use msaf_trace::Tracer;
 
     /// The dual-rail identity wire from the agents tests: the simplest
     /// legal QDI circuit, ideal for pinning classification semantics.
@@ -704,7 +694,6 @@ mod tests {
             &nl,
             &FixedDelay::new(1),
             &wire_inputs(),
-            &TokenRunOptions::default(),
             &Fault::StuckAt {
                 net: ack,
                 value: false,
@@ -728,7 +717,6 @@ mod tests {
             &nl,
             &FixedDelay::new(1),
             &wire_inputs(),
-            &TokenRunOptions::default(),
             &Fault::StuckAt {
                 net: ack,
                 value: false,
@@ -803,7 +791,8 @@ mod tests {
     /// `fault.injected` / `fault.outcome` pair per fault, in enumeration
     /// order, inside a `faults.campaign` span — and the recorded
     /// sequence is identical at 1 and 4 worker threads because the
-    /// coordinator emits after the joins.
+    /// coordinator emits after the joins. The simulations stay untraced:
+    /// no `sim.run` span reaches the campaign's recorder.
     #[test]
     fn campaign_trace_events_are_ordered_and_thread_independent() {
         let nl = dual_rail_wire();
@@ -811,16 +800,20 @@ mod tests {
         for threads in [1, 4] {
             let (tracer, rec) = Tracer::recorder();
             let opts = CampaignOptions {
+                run: TokenRunOptions { tracer },
                 threads,
                 ..CampaignOptions::default()
             };
             let report =
-                run_campaign_traced(&nl, &FixedDelay::new(1), &wire_inputs(), &opts, &tracer)
-                    .expect("campaign");
+                run_campaign(&nl, &FixedDelay::new(1), &wire_inputs(), &opts).expect("campaign");
             let events = rec.events();
             assert!(
                 events.iter().any(|e| e.name == "faults.campaign"),
                 "missing campaign span"
+            );
+            assert!(
+                !events.iter().any(|e| e.name == "sim.run"),
+                "{threads} threads: a campaign simulation was traced"
             );
             let pairs: Vec<(String, String)> = events
                 .iter()

@@ -49,14 +49,13 @@ pub mod ditest;
 pub mod engine;
 pub mod faults;
 mod queue;
-pub mod settle;
 
-pub use agents::{token_run, token_run_traced, Token, TokenRunError, TokenRunOptions, TokenStream};
+pub use agents::{token_run, Token, TokenRunError, TokenRunOptions, TokenStream};
 pub use delay::{DelayModel, FixedDelay, PerKindDelay, RandomDelay};
 pub use diagnose::{FrontierNet, StallDiagnosis};
 pub use ditest::{DiConfig, DiReport};
 pub use engine::{Glitch, SimError, SimTime, Simulator};
 pub use faults::{
-    default_stimulus, run_campaign, run_campaign_traced, CampaignOptions, Fault, FaultOutcome,
-    FaultReport, FaultResult, KindSummary, FAULT_KINDS,
+    default_stimulus, run_campaign, CampaignOptions, Fault, FaultOutcome, FaultReport, FaultResult,
+    KindSummary, FAULT_KINDS,
 };

@@ -69,9 +69,9 @@ pub mod prelude {
     pub use msaf_netlist::{Channel, ChannelDir, Encoding, GateKind, Netlist, Protocol};
     pub use msaf_sim::ditest::{attribute_glitches, di_stress, DiConfig};
     pub use msaf_sim::{
-        default_stimulus, run_campaign, run_campaign_traced, token_run, token_run_traced,
-        CampaignOptions, Fault, FaultOutcome, FaultReport, FixedDelay, PerKindDelay, RandomDelay,
-        Simulator, StallDiagnosis, TokenRunError, TokenRunOptions, FAULT_KINDS,
+        default_stimulus, run_campaign, token_run, CampaignOptions, Fault, FaultOutcome,
+        FaultReport, FixedDelay, PerKindDelay, RandomDelay, Simulator, StallDiagnosis,
+        TokenRunError, TokenRunOptions, FAULT_KINDS,
     };
     pub use msaf_trace::{Recorder, Tracer};
 }

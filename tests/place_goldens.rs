@@ -35,8 +35,8 @@ fn incremental_and_reference_modes_are_bit_identical() {
                 &packed,
                 &arch,
                 &PlaceOptions {
-                    seed,
                     cost_mode: CostMode::FullRecompute,
+                    ..PlaceOptions::seeded(seed)
                 },
             )
             .expect("places");

@@ -11,12 +11,13 @@
 
 use msaf::artifact::digest::digest_trees as digest;
 use msaf::cad::flow::{compile, FlowOptions};
-use msaf::cad::place::{place_traced, PlaceOptions};
+use msaf::cad::place::{place_with, PlaceOptions};
 use msaf::cad::route::{route, route_traced, RouteOptions, RouteRequest};
 use msaf::cad::techmap::map;
 use msaf::fabric::arch::ArchSpec;
 use msaf::fabric::rrg::Rrg;
 use msaf::prelude::*;
+use msaf::trace::Phase;
 use std::collections::BTreeMap;
 
 /// The `route_qdi_adder_4b` workload (paper arch 8×8, placement seed 7).
@@ -74,10 +75,13 @@ fn placement_is_byte_identical_under_recorder_sink() {
     let arch = ArchSpec::paper(8, 8);
     let mapped = map(&nl, &arch).expect("maps");
     let packed = msaf::cad::pack::pack(&mapped, &arch).expect("packs");
-    let opts = PlaceOptions::seeded(7);
-    let plain = place_traced(&mapped, &packed, &arch, &opts, &Tracer::default()).expect("places");
+    let plain = place_with(&mapped, &packed, &arch, &PlaceOptions::seeded(7)).expect("places");
     let (tracer, recorder) = Tracer::recorder();
-    let traced = place_traced(&mapped, &packed, &arch, &opts, &tracer).expect("places");
+    let opts = PlaceOptions {
+        tracer,
+        ..PlaceOptions::seeded(7)
+    };
+    let traced = place_with(&mapped, &packed, &arch, &opts).expect("places");
     assert_eq!(traced.plb_pos, plain.plb_pos, "PLB positions drifted");
     assert_eq!(traced.pad_of_signal, plain.pad_of_signal, "pads drifted");
     assert!((traced.cost - plain.cost).abs() == 0.0, "cost drifted");
@@ -147,7 +151,7 @@ fn flow_and_sim_are_byte_identical_under_recorder_sink() {
         assert_eq!(traced.report.grid, plain.report.grid);
         assert!(!recorder.is_empty(), "flow recorder saw no events");
 
-        // Token simulation through the traced entry point.
+        // Token simulation with and without a recorder in its options.
         let sim_plain = token_run(
             &nl,
             &PerKindDelay::new(),
@@ -156,12 +160,11 @@ fn flow_and_sim_are_byte_identical_under_recorder_sink() {
         )
         .expect("runs");
         let (sim_tracer, sim_recorder) = Tracer::recorder();
-        let sim_traced = token_run_traced(
+        let sim_traced = token_run(
             &nl,
             &PerKindDelay::new(),
             &inputs,
-            &TokenRunOptions::default(),
-            &sim_tracer,
+            &TokenRunOptions { tracer: sim_tracer },
         )
         .expect("runs");
         for (chan, stream) in &sim_plain.outputs {
@@ -176,13 +179,17 @@ fn flow_and_sim_are_byte_identical_under_recorder_sink() {
         assert_eq!(sim_traced.evaluations, sim_plain.evaluations);
         assert_eq!(sim_traced.end_time, sim_plain.end_time);
         assert_eq!(sim_traced.glitches, sim_plain.glitches);
-        assert!(
-            sim_recorder
-                .events()
+        // One run: exactly one `sim.run` span and one summary.
+        let sim_events = sim_recorder.events();
+        let count = |name: &str, phase: Phase| {
+            sim_events
                 .iter()
-                .any(|e| e.name == "sim.summary"),
-            "simulator summary event missing"
-        );
+                .filter(|e| e.name == name && e.phase == phase)
+                .count()
+        };
+        assert_eq!(count("sim.run", Phase::Begin), 1, "sim.run span opened");
+        assert_eq!(count("sim.run", Phase::End), 1, "sim.run span closed");
+        assert_eq!(count("sim.summary", Phase::Instant), 1, "sim.summary");
     }
 }
 
