@@ -1187,7 +1187,9 @@ mod tests {
     fn qdi_full_adder_maps_compactly() {
         // Fig 3b: 8 minterm C-elements + 4 rail ORs. Expected LE budget
         // with pairing + LUT2 absorption: 4 paired C LEs + the OR network
-        // in <= 4 more LEs (see DESIGN.md E5 analysis).
+        // in <= 4 more LEs (the E5 filling-ratio experiment:
+        // `table_filling_ratio` in `msaf-bench`, pinned by
+        // `tests/experiment_claims.rs`'s `e5_filling_ratio_ordering_and_band`).
         let nl = qdi_full_adder();
         let mapped = map(&nl, &paper_arch()).expect("maps");
         assert!(

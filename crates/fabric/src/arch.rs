@@ -1,7 +1,8 @@
 //! Architecture description: every dimension of the fabric is a
 //! parameter, because the paper's stated goal is *genericity* — "the
 //! structure is well suited to be rebuilt and adapted" (abstract). The
-//! ablation experiment (X4 in DESIGN.md) exercises exactly these knobs.
+//! ablation experiment (X4, the `ext_arch_ablation` binary in
+//! `msaf-bench`) exercises exactly these knobs.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,13 +1,14 @@
 //! Stall diagnosis: when a token run deadlocks or exhausts its budget,
 //! *name the failure* instead of reporting a bare error.
 //!
-//! Every [`crate::agents::Agent`] can describe its pending handshake as a
-//! [`StallDiagnosis`]: which channel, which protocol phase it is waiting
-//! in, how many tokens made it through, and the committed values of the
-//! frontier nets (the rails/req/ack the next phase is blocked on). The
-//! driver loop collects these on every failing exit, so each simulator
-//! user — `token_run`, the verify path, `di_stress`, fault campaigns —
-//! gets a diagnosis for free.
+//! Every channel's producer or consumer (see [`crate::agents`]) can
+//! describe its pending handshake as a [`StallDiagnosis`]: which channel,
+//! which protocol phase it is waiting in, how many tokens made it
+//! through, and the committed values of the frontier nets (the
+//! rails/req/ack the next phase is blocked on). The driver loop collects
+//! these on every failing exit, so each simulator user — `token_run`, the
+//! verify path, `di_stress`, fault campaigns — gets a diagnosis for
+//! free.
 //!
 //! The watchdog itself is the engine's quiescence test: a stall *is*
 //! quiescence with tokens outstanding, so the diagnosis is taken exactly

@@ -6,7 +6,9 @@
 //! under many independently-seeded random per-gate delay assignments and
 //! check that every run produces the *same token streams*. A QDI design
 //! passes; a bundled-data design without sufficient matched delay fails —
-//! the X3 robustness experiment of DESIGN.md.
+//! the X3 robustness experiment (the `ext_di_robustness` binary in
+//! `msaf-bench`, pinned by `tests/experiment_claims.rs`'s
+//! `x3_qdi_robust_micropipeline_fragile`).
 
 use crate::agents::{token_run, TokenRunError, TokenRunOptions, TokenRunReport};
 use crate::delay::RandomDelay;

@@ -136,7 +136,7 @@ pub struct Simulator<'a> {
     /// Spill buffer for gates wider than [`INLINE_INPUTS`].
     wide_inputs: Vec<bool>,
     /// Nets committed during the most recent [`Simulator::step`]
-    /// (reusable buffer; drives agent sensitivity filtering).
+    /// (reusable buffer; drives the token-run driver's agent wake-up).
     changed: Vec<NetId>,
     /// Stuck-at clamps: a clamped net refuses any commit to the opposite
     /// value. Dense per-net; `clamp_count` gates the hot-path check so an
@@ -311,17 +311,6 @@ impl<'a> Simulator<'a> {
         });
     }
 
-    /// The per-gate delay the model assigned (delay gates report their
-    /// programmed amount).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is out of range.
-    #[must_use]
-    pub fn gate_delay(&self, gate: GateId) -> u64 {
-        self.delays[gate.index()]
-    }
-
     /// Schedules primary input `net` to take `value` at `now + delay`.
     ///
     /// # Panics
@@ -356,21 +345,31 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Applies one committed net change, returns whether the value changed.
-    /// This is the single commit path: stuck-at clamps veto here, so a
-    /// clamped net holds its fault value against drivers, primary-input
-    /// schedules and SEU flips alike.
-    #[inline]
-    fn apply(&mut self, net: NetId, value: bool) -> bool {
+    /// Commits `net := value` and, if the value changed, marks the net's
+    /// fanout dirty for this timestep. This is the single commit path:
+    /// stuck-at clamps veto here, so a clamped net holds its fault value
+    /// against drivers, primary-input schedules and SEU flips alike.
+    /// Forced inline: the event loop calls it once per event, and a plain
+    /// `#[inline]` left it an out-of-line call there.
+    #[inline(always)]
+    fn commit(&mut self, net: NetId, value: bool) {
         if self.values[net.index()] == value {
-            return false;
+            return;
         }
         if self.clamp_count != 0 && self.clamps[net.index()].is_some_and(|v| v != value) {
-            return false;
+            return;
         }
         self.values[net.index()] = value;
         self.changed.push(net);
-        true
+        // CSR fanout walk with inlined dirty-marking (`mark_dirty` would
+        // alias the &self.fanout borrow).
+        let stamp = self.stamp;
+        for &g in self.fanout.gates_of(net) {
+            if self.dirty_stamp[g.index()] != stamp {
+                self.dirty_stamp[g.index()] = stamp;
+                self.dirty.push(g);
+            }
+        }
     }
 
     /// Clamps `net` to `value` (stuck-at fault): the net takes `value`
@@ -380,7 +379,7 @@ impl<'a> Simulator<'a> {
     /// # Panics
     ///
     /// Panics if `net` is out of range.
-    pub fn clamp_net(&mut self, net: NetId, value: bool) {
+    pub(crate) fn clamp_net(&mut self, net: NetId, value: bool) {
         if self.clamps[net.index()].is_none() {
             self.clamp_count += 1;
         }
@@ -388,15 +387,7 @@ impl<'a> Simulator<'a> {
         // Force the fault value in immediately (the clamp check passes —
         // it only vetoes the *opposite* value) and let fanout react.
         self.stamp += 1;
-        if self.apply(net, value) {
-            let stamp = self.stamp;
-            for &g in self.fanout.gates_of(net) {
-                if self.dirty_stamp[g.index()] != stamp {
-                    self.dirty_stamp[g.index()] = stamp;
-                    self.dirty.push(g);
-                }
-            }
-        }
+        self.commit(net, value);
         self.evaluate_dirty();
     }
 
@@ -408,7 +399,7 @@ impl<'a> Simulator<'a> {
     /// # Panics
     ///
     /// Panics if `at` is in the simulator's past.
-    pub fn schedule_flip(&mut self, net: NetId, at: SimTime) {
+    pub(crate) fn schedule_flip(&mut self, net: NetId, at: SimTime) {
         assert!(
             at >= self.now,
             "flip at t={at} is in the past (now={})",
@@ -424,10 +415,9 @@ impl<'a> Simulator<'a> {
 
     /// The nets whose committed value changed during the last
     /// [`Simulator::step`] (empty before the first step and after steps
-    /// that only dropped stale events). Environment drivers use this to
-    /// skip agents whose sensitivity list saw no activity.
-    #[must_use]
-    pub fn changed_nets(&self) -> &[NetId] {
+    /// that only dropped stale events). The token-run driver wakes only
+    /// the agents that watch one of them.
+    pub(crate) fn changed_nets(&self) -> &[NetId] {
         &self.changed
     }
 
@@ -561,15 +551,7 @@ impl<'a> Simulator<'a> {
                 self.flips.remove(i);
                 self.events_processed += 1;
                 let upset = !self.values[net.index()];
-                if self.apply(net, upset) {
-                    let stamp = self.stamp;
-                    for &g in self.fanout.gates_of(net) {
-                        if self.dirty_stamp[g.index()] != stamp {
-                            self.dirty_stamp[g.index()] = stamp;
-                            self.dirty.push(g);
-                        }
-                    }
-                }
+                self.commit(net, upset);
             }
         }
 
@@ -595,17 +577,7 @@ impl<'a> Simulator<'a> {
                 }
             }
             self.events_processed += 1;
-            if self.apply(ev.net, ev.value) {
-                // CSR fanout walk with inlined dirty-marking (a method
-                // call would alias the &self.fanout borrow).
-                let stamp = self.stamp;
-                for &g in self.fanout.gates_of(ev.net) {
-                    if self.dirty_stamp[g.index()] != stamp {
-                        self.dirty_stamp[g.index()] = stamp;
-                        self.dirty.push(g);
-                    }
-                }
-            }
+            self.commit(ev.net, ev.value);
         }
         self.evaluate_dirty();
         true
@@ -634,17 +606,6 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
         self.queue.is_empty() && self.flips.is_empty()
-    }
-
-    /// Time of the next pending event or scheduled SEU flip, if any.
-    #[must_use]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        match (self.queue.peek_time(), self.next_flip_time()) {
-            (Some(q), Some(f)) => Some(q.min(f)),
-            (Some(q), None) => Some(q),
-            (None, Some(f)) => Some(f),
-            (None, None) => None,
-        }
     }
 }
 
@@ -778,10 +739,15 @@ mod tests {
     fn delay_gate_uses_programmed_amount() {
         let mut nl = Netlist::new("pde2");
         let a = nl.add_input("a");
-        let (g, y) = nl.add_gate_new(GateKind::Delay(25), "d", &[a]);
+        let (_, y) = nl.add_gate_new(GateKind::Delay(25), "d", &[a]);
         nl.mark_output(y);
-        let sim = Simulator::new(&nl, &FixedDelay::new(1));
-        assert_eq!(sim.gate_delay(g), 25);
+        let mut sim = Simulator::new(&nl, &FixedDelay::new(1));
+        settle_all(&mut sim);
+        sim.set_input(a, true, 1);
+        assert!(sim.step(), "a rises at t=1");
+        assert!(sim.step(), "y follows");
+        assert_eq!(sim.now(), 1 + 25, "the model's unit delay is ignored");
+        assert!(sim.value(y));
     }
 
     #[test]
@@ -795,7 +761,9 @@ mod tests {
         assert!(sim.is_quiescent());
         sim.set_input(a, true, 5);
         assert!(!sim.is_quiescent());
-        assert_eq!(sim.next_event_time(), Some(5));
+        assert!(sim.step());
+        assert_eq!(sim.now(), 5, "the pending event was the next step");
+        assert!(sim.value(a));
     }
 
     #[test]
@@ -900,9 +868,10 @@ mod tests {
         // until its input wiggles).
         sim.schedule_flip(y, sim.now() + 5);
         assert!(!sim.is_quiescent(), "a pending flip is a pending event");
-        assert_eq!(sim.next_event_time(), Some(5));
-        settle_all(&mut sim);
+        assert!(sim.step());
+        assert_eq!(sim.now(), 5, "the flip was the next step");
         assert!(sim.value(y), "upset committed");
+        settle_all(&mut sim);
         // The buffer saw its output contradict its input evaluation?
         // No — gates re-evaluate only when *inputs* change; wiggle the
         // input and the driver restores the true value.

@@ -31,13 +31,11 @@
 //! coordinator scatters the results into per-index slots; trace events
 //! are emitted by the coordinator in fault order after the joins.
 
-use crate::agents::{
-    build_agents, collect_report, drive_agents, token_run, TokenRunError, TokenRunOptions,
-    TokenRunReport,
-};
+use crate::agents::{drive, token_run, TokenRunError, TokenRunOptions, TokenRunReport};
 use crate::delay::DelayModel;
 use crate::engine::{SimTime, Simulator};
 use msaf_netlist::{ChannelDir, Encoding, GateId, GateKind, NetId, Netlist};
+use msaf_trace::Tracer;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -114,6 +112,35 @@ impl Fault {
             Fault::Seu { net, at } => format!("{}@t{}", nl.net(net).name(), at),
             Fault::DelayMult { gate, mult } => format!("{}x{}", nl.gate(gate).name(), mult),
         }
+    }
+
+    /// A fresh simulator with this fault planted before power-up: a
+    /// delay fault slows its gate in the model the simulator is built
+    /// from, a stuck-at clamps its net, an SEU schedules its flip.
+    pub(crate) fn simulator<'n>(
+        &self,
+        netlist: &'n Netlist,
+        model: &dyn DelayModel,
+    ) -> Simulator<'n> {
+        let slowed;
+        let model: &dyn DelayModel = match *self {
+            Fault::DelayMult { gate, mult } => {
+                slowed = DelayFaultModel {
+                    base: model,
+                    gate,
+                    mult,
+                };
+                &slowed
+            }
+            _ => model,
+        };
+        let mut sim = Simulator::new(netlist, model);
+        match *self {
+            Fault::StuckAt { net, value } => sim.clamp_net(net, value),
+            Fault::Seu { net, at } => sim.schedule_flip(net, at),
+            Fault::DelayMult { .. } => {}
+        }
+        sim
     }
 }
 
@@ -369,8 +396,7 @@ impl DelayModel for DelayFaultModel<'_> {
 /// channel nets in declaration order first (rails, then ack/req — the
 /// protocol-visible surface), then a fixed stride over internal gate
 /// outputs; SEU times evenly spaced across the reference run's span.
-#[must_use]
-pub fn enumerate_faults(
+fn enumerate_faults(
     netlist: &Netlist,
     opts: &CampaignOptions,
     reference_end: SimTime,
@@ -472,41 +498,6 @@ pub fn enumerate_faults(
     faults
 }
 
-/// Runs one token-level experiment with `fault` injected.
-///
-/// # Errors
-///
-/// Same as [`crate::agents::token_run`]; deadlocks and budget
-/// exhaustion carry stall diagnoses.
-pub fn token_run_faulted(
-    netlist: &Netlist,
-    model: &dyn DelayModel,
-    inputs: &BTreeMap<String, Vec<u64>>,
-    fault: &Fault,
-) -> Result<TokenRunReport, TokenRunError> {
-    let mut agents = build_agents(netlist, inputs)?;
-    let slowed;
-    let model: &dyn DelayModel = match *fault {
-        Fault::DelayMult { gate, mult } => {
-            slowed = DelayFaultModel {
-                base: model,
-                gate,
-                mult,
-            };
-            &slowed
-        }
-        _ => model,
-    };
-    let mut sim = Simulator::new(netlist, model);
-    match *fault {
-        Fault::StuckAt { net, value } => sim.clamp_net(net, value),
-        Fault::Seu { net, at } => sim.schedule_flip(net, at),
-        Fault::DelayMult { .. } => {}
-    }
-    drive_agents(&mut sim, &mut agents)?;
-    Ok(collect_report(&sim, &agents))
-}
-
 /// Classifies one faulted run against the clean reference.
 fn classify(
     result: Result<TokenRunReport, TokenRunError>,
@@ -588,7 +579,7 @@ pub fn run_campaign(
             let Some(fault) = faults.get(i) else {
                 break;
             };
-            let run = token_run_faulted(netlist, model, inputs, fault);
+            let run = drive(netlist, model, inputs, Some(fault), &Tracer::default());
             local.push((i, classify(run, &reference)));
         }
         local
@@ -642,42 +633,16 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agents::tests::{bundled_wire, dual_rail_wire};
     use crate::delay::FixedDelay;
-    use msaf_netlist::{Channel, ChannelDir, Encoding, Protocol};
-    use msaf_trace::Tracer;
 
-    /// The dual-rail identity wire from the agents tests: the simplest
-    /// legal QDI circuit, ideal for pinning classification semantics.
-    fn dual_rail_wire() -> Netlist {
-        let mut nl = Netlist::new("dr_wire");
-        let in_t = nl.add_input("in_t");
-        let in_f = nl.add_input("in_f");
-        let out_ack = nl.add_input("out_ack");
-        let (_, t) = nl.add_gate_new(GateKind::Buf, "bt", &[in_t]);
-        let (_, f) = nl.add_gate_new(GateKind::Buf, "bf", &[in_f]);
-        let (_, ia) = nl.add_gate_new(GateKind::Buf, "ba", &[out_ack]);
-        nl.mark_output(t);
-        nl.mark_output(f);
-        nl.mark_output(ia);
-        nl.add_channel(Channel::new(
-            "in",
-            ChannelDir::Input,
-            Protocol::FourPhase,
-            Encoding::DualRail { width: 1 },
-            None,
-            ia,
-            vec![in_t, in_f],
-        ));
-        nl.add_channel(Channel::new(
-            "out",
-            ChannelDir::Output,
-            Protocol::FourPhase,
-            Encoding::DualRail { width: 1 },
-            None,
-            out_ack,
-            vec![t, f],
-        ));
-        nl
+    /// A transport-skewed XOR beside the channels: each edge on `net`
+    /// reaches it twice, one unit apart, so under a gate delay above one
+    /// unit every edge leaves a filtered pulse (a glitch).
+    fn add_glitcher(nl: &mut Netlist, net: NetId) {
+        let (_, late) = nl.add_gate_new(GateKind::Delay(1), "skew", &[net]);
+        let (_, x) = nl.add_gate_new(GateKind::Xor, "glitch", &[net, late]);
+        nl.mark_output(x);
     }
 
     fn wire_inputs() -> BTreeMap<String, Vec<u64>> {
@@ -686,18 +651,45 @@ mod tests {
         inputs
     }
 
+    /// A ×1 delay fault changes no delay, so a campaign's faulted run
+    /// must reproduce `token_run`'s report exactly: outputs, committed
+    /// events, end time and every glitch time.
+    #[test]
+    fn unit_delay_fault_reproduces_token_run() {
+        for mut nl in [dual_rail_wire(), bundled_wire()] {
+            let data = nl.channels()[0].data()[0];
+            add_glitcher(&mut nl, data);
+            let model = FixedDelay::new(3);
+            let inputs = wire_inputs();
+            let clean =
+                token_run(&nl, &model, &inputs, &TokenRunOptions::default()).expect("clean run");
+            let fault = Fault::DelayMult {
+                gate: GateId::new(0),
+                mult: 1,
+            };
+            let faulted =
+                drive(&nl, &model, &inputs, Some(&fault), &Tracer::default()).expect("faulted run");
+            assert!(!clean.glitch_times.is_empty(), "{}: no glitches", nl.name());
+            assert_eq!(faulted.outputs, clean.outputs, "{}", nl.name());
+            assert_eq!(faulted.events, clean.events, "{}", nl.name());
+            assert_eq!(faulted.end_time, clean.end_time, "{}", nl.name());
+            assert_eq!(faulted.glitch_times, clean.glitch_times, "{}", nl.name());
+        }
+    }
+
     #[test]
     fn stuck_ack_deadlocks_and_names_the_channel() {
         let nl = dual_rail_wire();
         let ack = nl.channels()[0].ack();
-        let report = token_run_faulted(
+        let report = drive(
             &nl,
             &FixedDelay::new(1),
             &wire_inputs(),
-            &Fault::StuckAt {
+            Some(&Fault::StuckAt {
                 net: ack,
                 value: false,
-            },
+            }),
+            &Tracer::default(),
         );
         let err = report.unwrap_err();
         assert!(
@@ -713,14 +705,15 @@ mod tests {
     fn deadlock_message_names_channel_and_frontier() {
         let nl = dual_rail_wire();
         let ack = nl.channels()[0].ack();
-        let err = token_run_faulted(
+        let err = drive(
             &nl,
             &FixedDelay::new(1),
             &wire_inputs(),
-            &Fault::StuckAt {
+            Some(&Fault::StuckAt {
                 net: ack,
                 value: false,
-            },
+            }),
+            &Tracer::default(),
         )
         .unwrap_err();
         let msg = err.to_string();

@@ -14,9 +14,10 @@
 //! tell-tale of hazards that hazard-free synthesis must avoid.
 //!
 //! Handshake environments ([`agents`]) drive and observe the circuit's
-//! [`msaf_netlist::Channel`]s: 4-phase dual-rail and bundled-data
-//! producers/consumers plus protocol monitors, so token-level experiments
-//! are one function call: [`token_run`].
+//! [`msaf_netlist::Channel`]s: a 4-phase producer on every input channel
+//! and a consumer on every output channel, in dual-rail/1-of-N or
+//! bundled-data wire style, so token-level experiments are one function
+//! call: [`token_run`].
 //!
 //! ## Example
 //!

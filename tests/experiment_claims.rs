@@ -1,7 +1,9 @@
-//! Integration tests pinning the paper's evaluation claims (the rows of
-//! EXPERIMENTS.md): the filling-ratio ordering, the style coverage of
-//! the fabric vs the baselines, and the robustness contrast between QDI
-//! and bundled data.
+//! Integration tests pinning the paper's evaluation claims, one per
+//! experiment the `msaf-bench` binaries print (E5 `table_filling_ratio`,
+//! X2 `ext_baseline_compare`, X3 `ext_di_robustness`, X4
+//! `ext_arch_ablation`): the filling-ratio ordering, the style coverage
+//! of the fabric vs the baselines, the robustness contrast between QDI
+//! and bundled data, and the cost of each architecture ablation.
 
 use msaf::prelude::*;
 use msaf_baselines::{lut4_synchronous, papa_like};

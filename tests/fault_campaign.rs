@@ -9,9 +9,8 @@
 //!   bundled's is non-flat (the data-dependent hazard signature);
 //! * determinism — identical `FaultReport` digest at 1 and 4 worker
 //!   threads, over randomized campaign shapes (property test);
-//! * the fir4 smoke (`#[ignore]`, run by CI in release mode) — one
-//!   fault class per style on the largest committed example, with the
-//!   expected classification for each.
+//! * the fir4 smoke — one fault class per style on the largest committed
+//!   example, with the expected classification for each.
 
 use msaf::prelude::*;
 use proptest::prelude::*;
@@ -149,11 +148,8 @@ proptest! {
     }
 }
 
-/// One fault class per style on fir4, the largest committed example —
-/// the CI smoke (release mode; `cargo test --release --test
-/// fault_campaign -- --ignored`).
+/// One fault class per style on fir4, the largest committed example.
 #[test]
-#[ignore = "release-mode CI smoke: fir4 campaigns are slow unoptimized"]
 fn fir4_fault_smoke() {
     // QDI + delay faults: every outcome masked or detected, never a
     // corrupted token.
